@@ -96,17 +96,26 @@ fuzz:
 # an intentional perf change — on the same machine, so deltas mean something.
 # Also refreshes BENCH_ffwd.json, the ffwd-on/off wall-time comparison per
 # figure section plus the loop-heavy loopmark sweep.
-BENCH_RE    = ^(BenchmarkSimulatorSpeed|BenchmarkFastForward|BenchmarkFlightRecorder)$$
-BENCH_WATCH = BenchmarkSimulatorSpeed,BenchmarkFastForward/on,BenchmarkFastForward/off,BenchmarkFlightRecorder/on,BenchmarkFlightRecorder/off
+# BenchmarkKernelStep runs the paper kernels: the gate watches aps at IQ 256
+# (LSQ-heavy at the largest queue) and btrix at IQ 64 (the longest run). go
+# test matches each level of a name on its own, and a top-level benchmark
+# without sub-benchmarks does not run under a multi-level pattern, so the
+# kernels take a second invocation; it also runs aps at IQ 64 and btrix at
+# IQ 256, which are recorded but not watched.
+BENCH_RE        = ^(BenchmarkSimulatorSpeed|BenchmarkFastForward|BenchmarkFlightRecorder)$$
+BENCH_KERNEL_RE = ^BenchmarkKernelStep$$/^(aps|btrix)$$/^iq(64|256)$$
+BENCH_WATCH     = BenchmarkSimulatorSpeed,BenchmarkFastForward/on,BenchmarkFastForward/off,BenchmarkFlightRecorder/on,BenchmarkFlightRecorder/off,BenchmarkKernelStep/aps/iq256,BenchmarkKernelStep/btrix/iq64
 bench:
 	@mkdir -p bench
 	go test -run '^$$' -bench '$(BENCH_RE)' -benchmem -count 3 . | tee bench/latest.txt
+	go test -run '^$$' -bench '$(BENCH_KERNEL_RE)' -benchmem -count 3 . | tee -a bench/latest.txt
 	go run ./cmd/benchdiff -watch '$(BENCH_WATCH)' bench/baseline.txt bench/latest.txt
 	go run ./cmd/reusebench -ffwdjson BENCH_ffwd.json -sizes 32,64 -progress=false
 
 bench-baseline:
 	@mkdir -p bench
 	go test -run '^$$' -bench '$(BENCH_RE)' -benchmem -count 3 . | tee bench/baseline.txt
+	go test -run '^$$' -bench '$(BENCH_KERNEL_RE)' -benchmem -count 3 . | tee -a bench/baseline.txt
 
 # The full benchmark suite (tables, figures, ablations), no regression gate.
 bench-all:

@@ -9,15 +9,18 @@
 package reuseiq
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"reuseiq/internal/asm"
+	"reuseiq/internal/compiler"
 	"reuseiq/internal/experiments"
 	"reuseiq/internal/ffwd"
 	"reuseiq/internal/flightrec"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/power"
+	"reuseiq/internal/workloads"
 )
 
 var (
@@ -158,6 +161,37 @@ loop:	add  $r2, $r2, $r3
 		cycles += m.C.Cycles
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/run")
+}
+
+// BenchmarkKernelStep measures the simulator on what the figures run: each
+// compiled paper kernel, unchanged by loop distribution, through
+// pipeline.New and Run with the reuse mechanism on, at the smallest and
+// largest issue queues that differ in how the load/store queue is scanned
+// (IQ 64 with a 32-entry LSQ, IQ 256 with 128 entries). Compilation is
+// outside the timed loop; ns/cycle is host time per simulated cycle.
+func BenchmarkKernelStep(b *testing.B) {
+	for _, k := range workloads.All() {
+		p, _, err := compiler.Compile(k.Prog)
+		if err != nil {
+			b.Fatalf("compile %s: %v", k.Name, err)
+		}
+		for _, iq := range []int{64, 256} {
+			b.Run(fmt.Sprintf("%s/iq%d", k.Name, iq), func(b *testing.B) {
+				cfg := pipeline.DefaultConfig().WithIQSize(iq)
+				var cycles uint64
+				for i := 0; i < b.N; i++ {
+					m := pipeline.New(cfg, p)
+					if err := m.Run(); err != nil {
+						b.Fatal(err)
+					}
+					cycles += m.C.Cycles
+					m.Release()
+				}
+				b.ReportMetric(float64(cycles)/float64(b.N), "cycles/run")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+			})
+		}
+	}
 }
 
 // BenchmarkFastForward measures the analytic fast-forward engine on its

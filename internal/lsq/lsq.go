@@ -3,7 +3,9 @@
 // execute, and stores update memory only at commit, so wrong-path execution
 // can never corrupt architectural memory state. Loads forward from older
 // resolved stores and wait conservatively while any older store address is
-// unknown.
+// unknown. Both checks are bounded by age: the store-address gate is one
+// seq, the oldest unresolved store's, and a load's forwarding search walks
+// only the entries older than its own slot.
 package lsq
 
 // Entry is one in-flight memory operation.
@@ -35,7 +37,7 @@ type LSQ struct {
 	Allocs         uint64
 	Searches       uint64 // associative searches by loads
 	Forwards       uint64 // store-to-load forwards
-	ConflictStalls uint64 // load issue attempts blocked by unknown store addresses
+	ConflictStalls uint64 // load issue attempts blocked by unknown store addresses (charged by the issue stage)
 }
 
 // New creates a queue with the given capacity.
@@ -101,21 +103,28 @@ func (q *LSQ) SquashAfter(seq uint64) {
 	}
 }
 
-// OlderStoreAddrsKnown reports whether every store older than seq has a
-// resolved address. Loads issue only when this holds (conservative
-// disambiguation).
-func (q *LSQ) OlderStoreAddrsKnown(seq uint64) bool {
-	for i := 0; i < q.count; i++ {
-		e := &q.ring[(q.head+i)%len(q.ring)]
-		if e.Seq >= seq {
-			break
+// NoUnresolvedStore is what OldestUnresolvedStore returns when every store
+// in the queue has a known address.
+const NoUnresolvedStore = ^uint64(0)
+
+// OldestUnresolvedStore returns the seq of the oldest store whose address is
+// still unknown, or NoUnresolvedStore. A load issues only when this bound is
+// not older than it (conservative disambiguation): some older store is
+// unresolved exactly when the oldest unresolved store is older than the
+// load. The caller charges ConflictStalls for each blocked issue attempt.
+//
+//reuse:hotpath
+func (q *LSQ) OldestUnresolvedStore() uint64 {
+	i := q.head
+	for k := 0; k < q.count; k++ {
+		if e := &q.ring[i]; e.IsStore && !e.AddrReady {
+			return e.Seq
 		}
-		if e.IsStore && !e.AddrReady {
-			q.ConflictStalls++
-			return false
+		if i++; i == len(q.ring) {
+			i = 0
 		}
 	}
-	return true
+	return NoUnresolvedStore
 }
 
 // ForwardResult describes the outcome of a load's associative search.
@@ -131,16 +140,22 @@ const (
 	MustWait
 )
 
-// SearchForLoad performs the load's associative search against older stores.
-// On Forwarded, dataI/dataF carry the store's value.
+// SearchForLoad performs the associative search of the load in slot against
+// older stores. The ring is in program order, so the older entries are
+// exactly those between the head and the load's slot; the scan visits them
+// youngest first and the first overlap decides. On Forwarded, dataI/dataF
+// carry the store's value.
 //
 //reuse:hotpath
-func (q *LSQ) SearchForLoad(seq uint64, addr uint32, size uint8) (ForwardResult, int32, float64) {
+func (q *LSQ) SearchForLoad(slot int, addr uint32, size uint8) (ForwardResult, int32, float64) {
 	q.Searches++
-	// Scan from youngest older entry to oldest; first overlap decides.
-	for i := q.count - 1; i >= 0; i-- {
-		e := &q.ring[(q.head+i)%len(q.ring)]
-		if e.Seq >= seq || !e.IsStore {
+	for i := slot; i != q.head; {
+		if i == 0 {
+			i = len(q.ring)
+		}
+		i--
+		e := &q.ring[i]
+		if !e.IsStore {
 			continue
 		}
 		if !e.AddrReady {

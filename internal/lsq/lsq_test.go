@@ -23,30 +23,44 @@ func TestAllocPopOrder(t *testing.T) {
 	}
 }
 
-func TestOlderStoreAddrsKnown(t *testing.T) {
+func TestOldestUnresolvedStore(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0x100, 4, 7, true))
 	q.Alloc(store(2, 0, 4, 0, false)) // unresolved
 	q.Alloc(load(3, 4))
-	if q.OlderStoreAddrsKnown(3) {
-		t.Fatal("unresolved older store not detected")
+	if b := q.OldestUnresolvedStore(); b >= 3 {
+		t.Fatalf("bound = %d: unresolved older store not detected", b)
 	}
 	q.Get(1).AddrReady = true
-	if !q.OlderStoreAddrsKnown(3) {
-		t.Fatal("resolved stores still block")
+	if b := q.OldestUnresolvedStore(); b < 3 {
+		t.Fatalf("bound = %d: resolved stores still block", b)
 	}
 	// A younger store must not block an older load.
 	q.Alloc(store(5, 0, 4, 0, false))
-	if !q.OlderStoreAddrsKnown(3) {
-		t.Fatal("younger store blocked older load")
+	if b := q.OldestUnresolvedStore(); b < 3 {
+		t.Fatalf("bound = %d: younger store blocked older load", b)
 	}
+	q.Get(3).AddrReady = true
+	if b := q.OldestUnresolvedStore(); b != NoUnresolvedStore {
+		t.Fatalf("bound = %d with every store resolved", b)
+	}
+}
+
+// alloc appends e and returns its slot, failing the test on a full queue.
+func alloc(t *testing.T, q *LSQ, e Entry) int {
+	t.Helper()
+	slot, ok := q.Alloc(e)
+	if !ok {
+		t.Fatalf("alloc of seq %d into a full queue", e.Seq)
+	}
+	return slot
 }
 
 func TestForwardExactMatch(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0x100, 4, 42, true))
-	q.Alloc(load(2, 4))
-	res, dI, _ := q.SearchForLoad(2, 0x100, 4)
+	ld := alloc(t, q, load(2, 4))
+	res, dI, _ := q.SearchForLoad(ld, 0x100, 4)
 	if res != Forwarded || dI != 42 {
 		t.Fatalf("res=%v dI=%d", res, dI)
 	}
@@ -59,8 +73,8 @@ func TestForwardYoungestOlderWins(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0x100, 4, 1, true))
 	q.Alloc(store(2, 0x100, 4, 2, true))
-	q.Alloc(load(3, 4))
-	res, dI, _ := q.SearchForLoad(3, 0x100, 4)
+	ld := alloc(t, q, load(3, 4))
+	res, dI, _ := q.SearchForLoad(ld, 0x100, 4)
 	if res != Forwarded || dI != 2 {
 		t.Fatalf("got %v %d, want the younger store's value 2", res, dI)
 	}
@@ -68,9 +82,9 @@ func TestForwardYoungestOlderWins(t *testing.T) {
 
 func TestForwardIgnoresYoungerStores(t *testing.T) {
 	q := New(8)
-	q.Alloc(load(1, 4))
+	ld := alloc(t, q, load(1, 4))
 	q.Alloc(store(2, 0x100, 4, 9, true))
-	res, _, _ := q.SearchForLoad(1, 0x100, 4)
+	res, _, _ := q.SearchForLoad(ld, 0x100, 4)
 	if res != FromMemory {
 		t.Fatalf("res = %v, want FromMemory", res)
 	}
@@ -79,8 +93,8 @@ func TestForwardIgnoresYoungerStores(t *testing.T) {
 func TestForwardNoOverlapGoesToMemory(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0x100, 4, 9, true))
-	q.Alloc(load(2, 4))
-	res, _, _ := q.SearchForLoad(2, 0x104, 4)
+	ld := alloc(t, q, load(2, 4))
+	res, _, _ := q.SearchForLoad(ld, 0x104, 4)
 	if res != FromMemory {
 		t.Fatalf("res = %v", res)
 	}
@@ -89,13 +103,13 @@ func TestForwardNoOverlapGoesToMemory(t *testing.T) {
 func TestPartialOverlapMustWait(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0x100, 1, 0xff, true)) // byte store
-	q.Alloc(load(2, 4))
-	res, _, _ := q.SearchForLoad(2, 0x100, 4) // word load overlapping the byte
+	ld := alloc(t, q, load(2, 4))
+	res, _, _ := q.SearchForLoad(ld, 0x100, 4) // word load overlapping the byte
 	if res != MustWait {
 		t.Fatalf("res = %v, want MustWait on size mismatch", res)
 	}
 	// Byte load at a different offset within the same word: no overlap.
-	res, _, _ = q.SearchForLoad(2, 0x101, 1)
+	res, _, _ = q.SearchForLoad(ld, 0x101, 1)
 	if res != FromMemory {
 		t.Fatalf("res = %v, want FromMemory for disjoint byte", res)
 	}
@@ -104,8 +118,8 @@ func TestPartialOverlapMustWait(t *testing.T) {
 func TestUnresolvedOlderStoreMustWait(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0, 4, 0, false))
-	q.Alloc(load(2, 4))
-	res, _, _ := q.SearchForLoad(2, 0x100, 4)
+	ld := alloc(t, q, load(2, 4))
+	res, _, _ := q.SearchForLoad(ld, 0x100, 4)
 	if res != MustWait {
 		t.Fatalf("res = %v", res)
 	}
@@ -116,8 +130,8 @@ func TestFPForwarding(t *testing.T) {
 	s := Entry{Seq: 1, IsStore: true, IsFP: true, Size: 8, Addr: 0x200,
 		AddrReady: true, DataReady: true, DataF: 2.5}
 	q.Alloc(s)
-	q.Alloc(Entry{Seq: 2, Size: 8, IsFP: true})
-	res, _, dF := q.SearchForLoad(2, 0x200, 8)
+	ld := alloc(t, q, Entry{Seq: 2, Size: 8, IsFP: true})
+	res, _, dF := q.SearchForLoad(ld, 0x200, 8)
 	if res != Forwarded || dF != 2.5 {
 		t.Fatalf("res=%v dF=%v", res, dF)
 	}

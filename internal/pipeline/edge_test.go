@@ -283,3 +283,51 @@ l:	addi $r2, $r2, 3
 		t.Error("halfword loop never promoted")
 	}
 }
+
+// TestStoreIssueUngatesYoungerLoad pins the select pass's store-address
+// bound: when the oldest unresolved store issues (publishing its address),
+// a younger ready load later in the same pass must issue in that cycle, not
+// one cycle later. Five stores share a base produced by a divide; address
+// generation resolves only IssueWidth (four) pending stores per cycle, so
+// the fifth store, whose data is ready, resolves its address by issuing.
+// The load between the fourth and fifth stores reads the bound first in the
+// pass and then waits on the first store's data, leaving a memory port free.
+func TestStoreIssueUngatesYoungerLoad(t *testing.T) {
+	p := asm.MustAssemble(`
+	.data
+a:	.space 64
+	.text
+	la   $r5, a
+	li   $r11, 1
+	li   $r9, 7
+	divq $r6, $r5, $r11
+	divq $r7, $r6, $r11
+	sw   $r7, 0($r6)
+	sw   $r7, 4($r6)
+	sw   $r7, 8($r6)
+	sw   $r7, 12($r6)
+	lw   $r10, 0($r6)
+	sw   $r9, 16($r6)
+	lw   $r8, 32($r5)
+	halt
+	`)
+	m := New(BaselineConfig(), p)
+	issuedAt := map[string]uint64{}
+	m.DebugIssue = func(_ uint64, _ uint32, desc string) {
+		for _, in := range []string{"sw $r9", "lw $r8"} {
+			if strings.Contains(strings.Join(strings.Fields(desc), " "), in) {
+				issuedAt[in] = m.Cycle()
+			}
+		}
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st, ld := issuedAt["sw $r9"], issuedAt["lw $r8"]
+	if st == 0 || ld == 0 {
+		t.Fatalf("issue cycles not observed: %v", issuedAt)
+	}
+	if ld != st {
+		t.Fatalf("load issued at cycle %d, the store that gated it at %d: the bound was not refreshed when the store issued", ld, st)
+	}
+}

@@ -135,7 +135,7 @@ type Machine struct {
 	//reuse:transient writeback scratch; never live across a cycle boundary
 	done []execEntry // writeback scratch (completions this cycle)
 	//reuse:transient issue scratch; never live across a cycle boundary
-	cands      []issueCand // issue scratch (sorted ready candidates)
+	keys       []uint64 // issue scratch (sorted ready-candidate select keys)
 	halted     bool
 	lastCommit uint64
 
@@ -292,14 +292,14 @@ func New(cfg Config, p *prog.Program) *Machine {
 		m.decodeLat = w.decodeLat[:0]
 		m.execQ = w.execQ[:0]
 		m.done = w.done[:0]
-		m.cands = w.cands[:0]
+		m.keys = w.keys[:0]
 		m.commitLog = w.commitLog[:0]
 	} else {
 		m.fetchQ = make([]fetched, 0, cfg.FetchQueueSize)
 		m.decodeLat = make([]fetched, 0, cfg.DecodeWidth)
 		m.execQ = make([]execEntry, 0, cfg.IQSize)
 		m.done = make([]execEntry, 0, cfg.IQSize)
-		m.cands = make([]issueCand, 0, cfg.IQSize)
+		m.keys = make([]uint64, 0, cfg.IQSize)
 	}
 	return m
 }
@@ -310,7 +310,7 @@ type workspace struct {
 	decodeLat []fetched
 	execQ     []execEntry
 	done      []execEntry
-	cands     []issueCand
+	keys      []uint64
 	commitLog []uint32
 }
 
@@ -326,11 +326,11 @@ func (m *Machine) Release() {
 		decodeLat: m.decodeLat,
 		execQ:     m.execQ,
 		done:      m.done,
-		cands:     m.cands,
+		keys:      m.keys,
 		commitLog: m.commitLog,
 	})
 	m.fetchQ, m.decodeLat = nil, nil
-	m.execQ, m.done, m.cands = nil, nil, nil
+	m.execQ, m.done, m.keys = nil, nil, nil
 	m.commitLog = nil
 }
 

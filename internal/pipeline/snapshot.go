@@ -8,7 +8,7 @@
 // Not part of the image, by design:
 //   - hooks (OnCommit, OnCycle, OnSample, Trace, Rec, Tel, DebugIssue) — the
 //     restoring process re-attaches its own observers;
-//   - the per-cycle scratch buffers (done, cands) — empty between cycles;
+//   - the per-cycle scratch buffers (done, keys) — empty between cycles;
 //   - the commit log — observational, unbounded, and reconstructible by
 //     re-running with LogCommits from the start.
 package pipeline
@@ -177,6 +177,11 @@ func (m *Machine) load(st *MachineState) error {
 			return fmt.Errorf("execution list entry %d targets ROB slot %d of %d", i, e.ROBSlot, cfg.ROBSize)
 		}
 	}
+	// The select stage packs seqs beside issue-queue slots; an image whose
+	// seqs do not fit would fail there instead of here.
+	if limit := maxKeySeq(cfg.IQSize); st.NextSeq > limit {
+		return fmt.Errorf("next seq %d exceeds the select-key bound %d", st.NextSeq, limit)
+	}
 	if err := m.Mem.ImportPages(st.Pages); err != nil {
 		return err
 	}
@@ -282,14 +287,18 @@ func (m *Machine) validateROBEntries(st *rob.State) error {
 	return nil
 }
 
-// validateIQEntries checks the physical register and queue-slot references
-// of live issue queue entries against the machine's configuration.
+// validateIQEntries checks the seqs and the physical register and
+// queue-slot references of live issue queue entries against the machine's
+// configuration.
 func (m *Machine) validateIQEntries(st *core.QueueState) error {
 	for i := range st.Slots {
 		if !st.Meta[i].Valid {
 			continue
 		}
 		e := &st.Slots[i]
+		if limit := maxKeySeq(m.Cfg.IQSize); e.Seq > limit {
+			return fmt.Errorf("IQ slot %d seq %d exceeds the select-key bound %d", i, e.Seq, limit)
+		}
 		if e.ROBSlot < 0 || e.ROBSlot >= m.Cfg.ROBSize {
 			return fmt.Errorf("IQ slot %d targets ROB slot %d of %d", i, e.ROBSlot, m.Cfg.ROBSize)
 		}

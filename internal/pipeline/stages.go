@@ -3,6 +3,8 @@ package pipeline
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"reuseiq/internal/core"
@@ -250,11 +252,21 @@ func (m *Machine) recover(e *rob.Entry) {
 
 // ----------------------------------------------------------------- issue --
 
-// issueCand is one ready queue entry competing for an issue port.
-type issueCand struct {
-	seq  uint64
-	slot int32
+// storeGate is one select pass's conservative-disambiguation bound: the seq
+// of the oldest store whose address is unknown (lsq.NoUnresolvedStore when
+// none). It lives on the issue stage's stack, is found on the first load
+// candidate, and is found again after that store itself issues.
+type storeGate struct {
+	bound uint64
+	known bool
 }
+
+// keySlotBits is how many low bits of a select key hold the issue-queue
+// slot; the seq sits above them.
+func keySlotBits(iqSize int) uint { return uint(bits.Len(uint(iqSize - 1))) }
+
+// maxKeySeq is the largest seq a select key holds without losing bits.
+func maxKeySeq(iqSize int) uint64 { return math.MaxUint64 >> keySlotBits(iqSize) }
 
 //reuse:hotpath
 func (m *Machine) issue() {
@@ -265,21 +277,31 @@ func (m *Machine) issue() {
 
 	m.resolveStoreAddresses()
 
-	// Select ready entries oldest first. Slots are stable, so no position
-	// compensation is needed when an issued entry is removed.
-	cands := m.cands[:0]
+	// Select ready entries oldest first. Each key packs the candidate's seq
+	// above its slot, and seqs are unique among live entries, so sorting
+	// the keys sorts by seq. Slots are stable, so no position compensation
+	// is needed when an issued entry is removed.
+	shift := keySlotBits(m.Cfg.IQSize)
+	maxSeq := maxKeySeq(m.Cfg.IQSize)
+	keys := m.keys[:0]
 	for _, slot := range m.IQ.ReadySlots() {
-		cands = append(cands, issueCand{seq: m.IQ.Entry(int(slot)).Seq, slot: slot})
+		seq := m.IQ.Entry(int(slot)).Seq
+		if seq > maxSeq {
+			panic("pipeline: seq overflows the select key")
+		}
+		keys = append(keys, seq<<shift|uint64(slot))
 	}
-	m.cands = cands
-	slices.SortFunc(cands, func(a, b issueCand) int { return cmp.Compare(a.seq, b.seq) })
+	m.keys = keys
+	slices.Sort(keys)
 
+	var gate storeGate
+	mask := uint64(1)<<shift - 1
 	issued := 0
-	for _, c := range cands {
+	for _, k := range keys {
 		if issued >= m.Cfg.IssueWidth {
 			break
 		}
-		if m.tryIssueEntry(int(c.slot)) {
+		if m.tryIssueEntry(int(k&mask), &gate) {
 			issued++
 		}
 	}
@@ -321,8 +343,9 @@ func (m *Machine) resolveStoreAddresses() {
 
 // tryIssueEntry attempts to issue the queue entry in slot. It reports
 // whether the instruction issued (conventional entries are then removed;
-// classified entries stay with their issue state bit set).
-func (m *Machine) tryIssueEntry(slot int) bool {
+// classified entries stay with their issue state bit set). gate carries the
+// select pass's store-address bound across candidates.
+func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 	// Slots are stable, so the entry can be read in place (a value copy
 	// would be forced onto the heap by the debug path taking its address).
 	// MarkIssued frees a conventional entry's slot, so everything needed
@@ -332,8 +355,14 @@ func (m *Machine) tryIssueEntry(slot int) bool {
 	cls := op.Info().Class
 
 	// Loads: conservative disambiguation before consuming a port.
-	if cls == isa.ClassLoad && !m.LSQ.OlderStoreAddrsKnown(e.Seq) {
-		return false
+	if cls == isa.ClassLoad {
+		if !gate.known {
+			gate.bound, gate.known = m.LSQ.OldestUnresolvedStore(), true
+		}
+		if gate.bound < e.Seq {
+			m.LSQ.ConflictStalls++
+			return false
+		}
 	}
 
 	if !m.FUs.Available(op, m.cycle) {
@@ -366,7 +395,7 @@ func (m *Machine) tryIssueEntry(slot int) bool {
 	var valF float64
 	switch cls {
 	case isa.ClassLoad:
-		res, dI, dF := m.LSQ.SearchForLoad(e.Seq, r.Addr, memSize(op))
+		res, dI, dF := m.LSQ.SearchForLoad(e.LSQSlot, r.Addr, memSize(op))
 		if res == lsq.MustWait {
 			return false
 		}
@@ -396,6 +425,10 @@ func (m *Machine) tryIssueEntry(slot int) bool {
 		le.DataF = r.StoreF
 		le.Done = true
 		lat = 1
+		// A younger load later in this pass must see the resolved address.
+		if le.Seq == gate.bound {
+			gate.known = false
+		}
 	default:
 		l, ok := m.FUs.TryIssue(op, m.cycle)
 		if !ok {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"reuseiq/internal/altfe"
@@ -362,6 +363,44 @@ func TestChaosStreamPositionBound(t *testing.T) {
 		t.Fatal("resume accepted an absurd chaos stream position")
 	} else if want := "chaos stream position"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Fatalf("got %v, want error mentioning %q", err, want)
+	}
+}
+
+// TestSelectKeySeqBound pins the resume-time check behind the select
+// stage's packed keys: an image whose next seq, or a live issue-queue
+// entry's seq, does not fit beside a slot is rejected instead of failing
+// mid-run.
+func TestSelectKeySeqBound(t *testing.T) {
+	cfg, p := tinyConfig(), microloop()
+	m := pipeline.New(cfg, p)
+	if err := m.RunBreakable(300, func() bool { return true }); !errors.Is(err, pipeline.ErrStopped) {
+		t.Fatalf("expected break, got %v", err)
+	}
+	corrupt := map[string]func(st *pipeline.MachineState) bool{
+		"next seq": func(st *pipeline.MachineState) bool {
+			st.NextSeq = 1 << 62
+			return true
+		},
+		"IQ slot": func(st *pipeline.MachineState) bool {
+			for i := range st.IQ.Slots {
+				if st.IQ.Meta[i].Valid {
+					st.IQ.Slots[i].Seq = 1 << 62
+					return true
+				}
+			}
+			return false
+		},
+	}
+	for what, f := range corrupt {
+		st := m.Snapshot()
+		if !f(st) {
+			t.Fatalf("%s: no live entry to corrupt", what)
+		}
+		if _, err := pipeline.Resume(cfg, p, st); err == nil {
+			t.Fatalf("%s: resume accepted a seq beyond the select-key bound", what)
+		} else if !strings.Contains(err.Error(), what) || !strings.Contains(err.Error(), "select-key bound") {
+			t.Fatalf("%s: got %v, want an error naming it and the select-key bound", what, err)
+		}
 	}
 }
 
