@@ -50,11 +50,8 @@ telemetry-check:
 # monotonicity across two scrapes, well-formed SSE frames from /events, and a
 # decodable /status. The -linger window keeps the server up after the run so
 # both scrapes land; obscheck kills the child when done.
-# -ffwd attaches the fast-forward engine so its reuseiq_ffwd_* counters are
-# part of the scraped surface (the live sampler vetoes actual skips, so the
-# run itself is unchanged).
 obs-check:
-	go run -race ./cmd/obscheck -- go run -race ./cmd/reusesim -kernel aps -ffwd -listen 127.0.0.1:0 -linger 30s
+	go run -race ./cmd/obscheck -- go run -race ./cmd/reusesim -kernel aps -listen 127.0.0.1:0 -linger 30s
 
 # Checkpoint/restore gate: in-process save/restore lockstep smoke (plain and
 # chaos), then a scripted kill -9 of a journaled reusebench sweep followed by
@@ -89,28 +86,25 @@ fuzz:
 	go test -fuzz=FuzzAssemble -fuzztime=$(FUZZTIME) ./internal/asm/
 	go test -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/snapshot/
 
-# Perf-regression gate: run the hot-loop and fast-forward benchmarks and
+# Perf-regression gate: run the hot-loop and flight-recorder benchmarks and
 # compare against the checked-in baseline with cmd/benchdiff (a benchstat
 # stand-in; no external tools). Fails on a >10% ns/op or allocs/op regression
 # of any watched benchmark. Regenerate the baseline with bench-baseline after
 # an intentional perf change — on the same machine, so deltas mean something.
-# Also refreshes BENCH_ffwd.json, the ffwd-on/off wall-time comparison per
-# figure section plus the loop-heavy loopmark sweep.
 # BenchmarkKernelStep runs the paper kernels: the gate watches aps at IQ 256
 # (LSQ-heavy at the largest queue) and btrix at IQ 64 (the longest run). go
 # test matches each level of a name on its own, and a top-level benchmark
 # without sub-benchmarks does not run under a multi-level pattern, so the
 # kernels take a second invocation; it also runs aps at IQ 64 and btrix at
 # IQ 256, which are recorded but not watched.
-BENCH_RE        = ^(BenchmarkSimulatorSpeed|BenchmarkFastForward|BenchmarkFlightRecorder)$$
+BENCH_RE        = ^(BenchmarkSimulatorSpeed|BenchmarkFlightRecorder)$$
 BENCH_KERNEL_RE = ^BenchmarkKernelStep$$/^(aps|btrix)$$/^iq(64|256)$$
-BENCH_WATCH     = BenchmarkSimulatorSpeed,BenchmarkFastForward/on,BenchmarkFastForward/off,BenchmarkFlightRecorder/on,BenchmarkFlightRecorder/off,BenchmarkKernelStep/aps/iq256,BenchmarkKernelStep/btrix/iq64
+BENCH_WATCH     = BenchmarkSimulatorSpeed,BenchmarkFlightRecorder/on,BenchmarkFlightRecorder/off,BenchmarkKernelStep/aps/iq256,BenchmarkKernelStep/btrix/iq64
 bench:
 	@mkdir -p bench
 	go test -run '^$$' -bench '$(BENCH_RE)' -benchmem -count 3 . | tee bench/latest.txt
 	go test -run '^$$' -bench '$(BENCH_KERNEL_RE)' -benchmem -count 3 . | tee -a bench/latest.txt
 	go run ./cmd/benchdiff -watch '$(BENCH_WATCH)' bench/baseline.txt bench/latest.txt
-	go run ./cmd/reusebench -ffwdjson BENCH_ffwd.json -sizes 32,64 -progress=false
 
 bench-baseline:
 	@mkdir -p bench

@@ -16,7 +16,6 @@ import (
 	"reuseiq/internal/asm"
 	"reuseiq/internal/compiler"
 	"reuseiq/internal/experiments"
-	"reuseiq/internal/ffwd"
 	"reuseiq/internal/flightrec"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/power"
@@ -191,36 +190,6 @@ func BenchmarkKernelStep(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 			})
 		}
-	}
-}
-
-// BenchmarkFastForward measures the analytic fast-forward engine on its
-// canonical loop-heavy kernel, against the identical run with the engine off
-// (BenchmarkFastForward/off). The cycles/run metric must match between the
-// two: the engine only skips spans it can reproduce exactly.
-func BenchmarkFastForward(b *testing.B) {
-	const iters = 500_000
-	for _, on := range []bool{true, false} {
-		name := "off"
-		if on {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			p := ffwd.LoopmarkProgram(iters)
-			b.ResetTimer()
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				cfg := pipeline.DefaultConfig()
-				cfg.FastForward = on
-				m := pipeline.New(cfg, p)
-				ffwd.Attach(m)
-				if err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-				cycles += m.C.Cycles
-			}
-			b.ReportMetric(float64(cycles)/float64(b.N), "cycles/run")
-		})
 	}
 }
 

@@ -15,11 +15,10 @@
 // used, which is robust to scheduler noise.
 //
 // With -json the inputs are the schema-versioned runstore.BenchRecord files
-// reusebench writes (BENCH_simcore.json, BENCH_ffwd.json). Both files are
-// validated — a malformed or future-version record exits 2, never a silent
-// mis-diff — then diffed metric by metric; watched metrics (-watch, default
-// ns_per_cycle and allocs_per_cycle) that grow beyond the threshold fail the
-// run.
+// reusebench writes (BENCH_simcore.json). Both inputs are validated — a
+// malformed or future-version record exits 2, never a silent mis-diff — then
+// diffed metric by metric; watched metrics (-watch, default ns_per_cycle and
+// allocs_per_cycle) that grow beyond the threshold fail the run.
 package main
 
 import (
@@ -117,7 +116,7 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	threshold := fs.Float64("threshold", 10, "maximum allowed regression in percent")
 	watch := fs.String("watch", "", "comma-separated benchmarks (or, with -json, metrics) whose regression fails the run")
-	jsonMode := fs.Bool("json", false, "inputs are runstore.BenchRecord files (BENCH_simcore.json / BENCH_ffwd.json), validated then diffed")
+	jsonMode := fs.Bool("json", false, "inputs are runstore.BenchRecord files (BENCH_simcore.json), validated then diffed")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

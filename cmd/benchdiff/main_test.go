@@ -171,8 +171,8 @@ func TestJSONModeOKAndRegression(t *testing.T) {
 }
 
 // TestJSONModeMalformedExits2 pins the validation gate: a syntactically
-// broken file, a future schema version, a wrong kind shape and a kind
-// mismatch all exit 2 — never a silent mis-diff.
+// broken file, a future schema version, a missing payload and an unknown
+// kind all exit 2 — never a silent mis-diff.
 func TestJSONModeMalformedExits2(t *testing.T) {
 	good := writeBench(t, "good.json", simcoreJSON(2.0, 0.03))
 	cases := map[string]string{
@@ -180,7 +180,6 @@ func TestJSONModeMalformedExits2(t *testing.T) {
 		"future":     `{"v": 99, "kind": "simcore", "throughput": {"wall_ns": 1}}`,
 		"no_payload": `{"v": 1, "kind": "simcore"}`,
 		"bad_kind":   `{"v": 1, "kind": "mystery"}`,
-		"ffwd_empty": `{"v": 1, "kind": "ffwd", "ffwd": []}`,
 	}
 	for name, content := range cases {
 		bad := writeBench(t, name+".json", content)
@@ -188,24 +187,16 @@ func TestJSONModeMalformedExits2(t *testing.T) {
 			t.Errorf("%s: exit %d, want 2 (%s)", name, code, errb)
 		}
 	}
-	// Kind mismatch between two individually valid records.
-	ffwd := writeBench(t, "ffwd.json",
-		`{"v":1,"kind":"ffwd","ffwd":[{"name":"figure5","off":"1s","on":"1s","off_ns":1,"on_ns":1,"speedup":1}]}`)
-	if _, errb, code := runDiff(t, "-json", good, ffwd); code != 2 {
-		t.Errorf("kind mismatch: exit %d (%s)", code, errb)
-	}
 }
 
-// TestCheckedInBenchFilesValidate keeps the repo's own baseline files inside
+// TestCheckedInBenchFilesValidate keeps the repo's own baseline file inside
 // the schema the validator enforces.
 func TestCheckedInBenchFilesValidate(t *testing.T) {
-	for _, name := range []string{"BENCH_simcore.json", "BENCH_ffwd.json"} {
-		path := filepath.Join("..", "..", name)
-		if _, err := os.Stat(path); err != nil {
-			t.Skipf("%s not present", name)
-		}
-		if _, err := runstore.ReadBenchRecord(path); err != nil {
-			t.Errorf("%s does not validate: %v", name, err)
-		}
+	path := filepath.Join("..", "..", "BENCH_simcore.json")
+	if _, err := os.Stat(path); err != nil {
+		t.Skipf("%s not present", path)
+	}
+	if _, err := runstore.ReadBenchRecord(path); err != nil {
+		t.Errorf("%s does not validate: %v", path, err)
 	}
 }

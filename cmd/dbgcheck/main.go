@@ -33,7 +33,6 @@ import (
 
 	"reuseiq/internal/asm"
 	"reuseiq/internal/chaos"
-	"reuseiq/internal/ffwd"
 	"reuseiq/internal/flightrec"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/prog"
@@ -79,7 +78,6 @@ func run() error {
 
 	// 1. Record.
 	m := pipeline.New(cfg, p)
-	ffwd.Attach(m)
 	rec, err := flightrec.Attach(m, flightrec.Config{
 		Interval: 4096,
 		Depth:    16,

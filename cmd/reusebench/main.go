@@ -34,126 +34,16 @@ import (
 	"time"
 
 	"reuseiq/internal/experiments"
-	"reuseiq/internal/ffwd"
 	"reuseiq/internal/obs"
-	"reuseiq/internal/pipeline"
 	"reuseiq/internal/runstore"
 	"reuseiq/internal/telemetry"
 )
 
-// Both machine-readable summaries (BENCH_simcore.json, BENCH_ffwd.json) are
-// emitted as schema-versioned runstore.BenchRecord envelopes; cmd/benchdiff
-// -json validates and diffs them. Cycle totals come from the Suite cache
-// (each configuration simulated exactly once), so cycles/sec is true
-// simulation throughput, not inflated by cache hits.
-
-func makeFfwdSection(name string, off, on time.Duration) runstore.BenchFfwdSection {
-	s := runstore.BenchFfwdSection{
-		Name:  name,
-		Off:   off.Round(time.Millisecond).String(),
-		On:    on.Round(time.Millisecond).String(),
-		OffNS: off.Nanoseconds(),
-		OnNS:  on.Nanoseconds(),
-	}
-	if on > 0 {
-		s.Speedup = float64(off) / float64(on)
-	}
-	return s
-}
-
-// ffwdCompare times every figure section with the fast-forward engine off
-// and on (each mode gets its own suite, so caching behaves as in a normal
-// sweep), then a loop-heavy figure5-style sweep of the loopmark kernel where
-// the analytic skip dominates. Any difference in rendered output or cycle
-// counts between the two modes is an error: the engine's contract is
-// byte-identical results.
-func ffwdCompare(sizes []int) ([]runstore.BenchFfwdSection, error) {
-	figs := []struct {
-		name string
-		run  func(*experiments.Suite) (string, error)
-	}{
-		{"figure5", func(s *experiments.Suite) (string, error) {
-			f, err := s.Figure5(sizes)
-			if err != nil {
-				return "", err
-			}
-			return f.String(), nil
-		}},
-		{"figure6", func(s *experiments.Suite) (string, error) {
-			f, err := s.Figure6(sizes)
-			if err != nil {
-				return "", err
-			}
-			return f.String(), nil
-		}},
-		{"figure7", func(s *experiments.Suite) (string, error) {
-			f, err := s.Figure7(sizes)
-			if err != nil {
-				return "", err
-			}
-			return f.String(), nil
-		}},
-		{"figure8", func(s *experiments.Suite) (string, error) {
-			f, err := s.Figure8(sizes)
-			if err != nil {
-				return "", err
-			}
-			return f.String(), nil
-		}},
-		{"figure9", func(s *experiments.Suite) (string, error) {
-			f, err := s.Figure9()
-			if err != nil {
-				return "", err
-			}
-			return f.String(), nil
-		}},
-	}
-	sOff, sOn := experiments.NewSuite(), experiments.NewSuite()
-	sOn.FastForward = true
-	var out []runstore.BenchFfwdSection
-	for _, fig := range figs {
-		t0 := time.Now()
-		offOut, err := fig.run(sOff)
-		if err != nil {
-			return nil, err
-		}
-		off := time.Since(t0)
-		t0 = time.Now()
-		onOut, err := fig.run(sOn)
-		if err != nil {
-			return nil, err
-		}
-		on := time.Since(t0)
-		if offOut != onOut {
-			return nil, fmt.Errorf("ffwd: %s output differs between engine off and on", fig.name)
-		}
-		out = append(out, makeFfwdSection(fig.name, off, on))
-	}
-
-	// The loopmark sweep: a long affine counted loop per IQ size, the
-	// workload shape the engine exists for.
-	p := ffwd.LoopmarkProgram(2_000_000)
-	var wall [2]time.Duration
-	var cycles [2]uint64
-	for mode, on := range []bool{false, true} {
-		t0 := time.Now()
-		for _, iq := range sizes {
-			cfg := pipeline.DefaultConfig().WithIQSize(iq)
-			cfg.FastForward = on
-			m := pipeline.New(cfg, p)
-			ffwd.Attach(m)
-			if err := m.Run(); err != nil {
-				return nil, fmt.Errorf("ffwd: loopmark iq=%d: %w", iq, err)
-			}
-			cycles[mode] += m.C.Cycles
-		}
-		wall[mode] = time.Since(t0)
-	}
-	if cycles[0] != cycles[1] {
-		return nil, fmt.Errorf("ffwd: loopmark cycle totals differ: off %d, on %d", cycles[0], cycles[1])
-	}
-	return append(out, makeFfwdSection("loopmark", wall[0], wall[1])), nil
-}
+// The machine-readable summary (BENCH_simcore.json) is emitted as a
+// schema-versioned runstore.BenchRecord envelope; cmd/benchdiff -json
+// validates and diffs it. Cycle totals come from the Suite cache (each
+// configuration simulated exactly once), so cycles/sec is true simulation
+// throughput, not inflated by cache hits.
 
 // progressRecord is one machine-readable sweep-progress record, emitted as
 // a JSON line by -progress-json and as an SSE "progress" event by -listen.
@@ -204,8 +94,6 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each figure's data as CSV into this directory")
 	forcefail := flag.String("forcefail", "", "force runs of kernel[:iq] to fail, to demonstrate degraded sweeps")
 	benchJSON := flag.String("benchjson", "BENCH_simcore.json", "write the throughput summary to this file (empty disables)")
-	ffwdJSON := flag.String("ffwdjson", "", "run the fast-forward on/off comparison (figures + loopmark sweep) and write it to this file, instead of the report")
-	ffwdFlag := flag.Bool("ffwd", false, "run every sweep with the analytic fast-forward engine (byte-identical results, less wall time)")
 	progress := flag.Bool("progress", true, "report live sweep progress (points done, ETA, current kernel) on stderr")
 	progressJSON := flag.String("progress-json", "", "also write JSONL progress records to this file (\"-\" = stderr)")
 	listen := flag.String("listen", "", "serve live /metrics, /events, /status and pprof on this address while the sweep runs")
@@ -230,27 +118,7 @@ func main() {
 		}
 	}
 
-	if *ffwdJSON != "" {
-		start := time.Now()
-		secs, err := ffwdCompare(sizes)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "reusebench:", err)
-			os.Exit(1)
-		}
-		rec := &runstore.BenchRecord{V: runstore.BenchSchemaVersion, Kind: runstore.BenchFfwd, Ffwd: secs}
-		if err := runstore.WriteBenchRecord(*ffwdJSON, rec); err != nil {
-			fmt.Fprintln(os.Stderr, "reusebench:", err)
-			os.Exit(1)
-		}
-		for _, sec := range secs {
-			fmt.Printf("%-10s off %-10s on %-10s %6.1fx\n", sec.Name, sec.Off, sec.On, sec.Speedup)
-		}
-		fmt.Printf("(completed in %s)\n", time.Since(start).Round(time.Second))
-		return
-	}
-
 	s := experiments.NewSuite()
-	s.FastForward = *ffwdFlag
 	if *resume && *journal == "" {
 		fmt.Fprintln(os.Stderr, "reusebench: -resume requires -journal")
 		os.Exit(1)

@@ -82,13 +82,12 @@ func TestWaiverBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := map[string]int{
-		"allow-alloc":         14,
+		"allow-alloc":         9,
 		"allow-nondet":        0,
 		"allow-nonexhaustive": 0,
 		"allow-unguarded":     4,
-		"nodigest":            37,
 		"nowire":              0,
-		"transient":           34,
+		"transient":           32,
 	}
 	for name, want := range budget {
 		if got := countWaivers(mod, name); got != want {

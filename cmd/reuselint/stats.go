@@ -17,7 +17,7 @@ var waiverNames = map[string][]string{
 	"exhaustive":  {"allow-nonexhaustive"},
 	"hotalloc":    {"allow-alloc"},
 	"metricname":  {},
-	"statecov":    {"transient", "nodigest", "nowire"},
+	"statecov":    {"transient", "nowire"},
 	"zerocost":    {"allow-unguarded"},
 }
 

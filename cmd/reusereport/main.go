@@ -16,7 +16,7 @@
 // A selector is a run id (or unique prefix of at least 4 hex digits) naming
 // one run, or a comma-separated filter expression naming a set:
 //
-//	kind=sim|cell kernel=NAME fp=FINGERPRINT iq=N reuse=BOOL ffwd=BOOL last=N
+//	kind=sim|cell kernel=NAME fp=FINGERPRINT iq=N reuse=BOOL last=N
 //
 // fp matches the full "cfghash:proghash" form or a bare config-hash prefix.
 // Diffing sets compares per-metric means, so "diff reuse=false reuse=true"
@@ -108,11 +108,6 @@ func parseFilter(expr string) (runstore.Filter, error) {
 			var b bool
 			if b, err = strconv.ParseBool(v); err == nil {
 				f.Reuse = &b
-			}
-		case "ffwd":
-			var b bool
-			if b, err = strconv.ParseBool(v); err == nil {
-				f.FastForward = &b
 			}
 		case "last":
 			f.Last, err = strconv.Atoi(v)
@@ -229,8 +224,8 @@ func cmdShow(recs []runstore.Record, args []string, stdout, stderr io.Writer) in
 	fmt.Fprintf(stdout, "workload    kernel=%s iq=%d reuse=%v dist=%v nblt=%d\n",
 		r.Kernel, r.IQSize, r.Reuse, r.Distributed, r.NBLTSize)
 	fmt.Fprintf(stdout, "fingerprint %s\n", r.Fingerprint)
-	fmt.Fprintf(stdout, "flags       ffwd=%v flightrec=%v verified=%v chaos_seed=%d retried=%v\n",
-		r.FastForward, r.FlightRec, r.Verified, r.ChaosSeed, r.Retried)
+	fmt.Fprintf(stdout, "flags       flightrec=%v verified=%v chaos_seed=%d retried=%v\n",
+		r.FlightRec, r.Verified, r.ChaosSeed, r.Retried)
 	fmt.Fprintf(stdout, "result      cycles=%d commits=%d ipc=%.3f gated=%.1f%%\n",
 		r.Cycles, r.Commits, r.IPC, 100*r.Gated)
 	if r.Err != "" {

@@ -172,6 +172,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-ledger", path, "frobnicate"},
 		{"-ledger", path, "diff", "onlyone"},
 		{"-ledger", path, "list", "bogus=1"},
+		{"-ledger", path, "list", "ffwd=true"}, // filter key of the retired fast-forward engine
 		{"-ledger", filepath.Join(t.TempDir(), "missing.jsonl"), "list"},
 	} {
 		if code, _, _ := run(t, args...); code != 2 {

@@ -12,7 +12,6 @@
 //	reusesim -asm prog.s -disasm         # print the loaded program and exit
 //	reusesim -kernel aps -pipetrace 40   # pipeline diagram of the first 40 insts
 //	reusesim -kernel aps -verify         # cross-check every commit (lockstep)
-//	reusesim -kernel adi -ffwd           # analytic fast-forward (same results)
 //	reusesim -kernel aps -chaos 42       # seeded fault injection
 //	reusesim -kernel adi -trace adi.json # Chrome/Perfetto trace (ui.perfetto.dev)
 //	reusesim -kernel adi -events -       # stream telemetry events as JSONL
@@ -47,7 +46,6 @@ import (
 	"reuseiq/internal/asm"
 	"reuseiq/internal/chaos"
 	"reuseiq/internal/compiler"
-	"reuseiq/internal/ffwd"
 	"reuseiq/internal/flightrec"
 	"reuseiq/internal/lockstep"
 	"reuseiq/internal/obs"
@@ -68,7 +66,6 @@ func main() {
 // opts carries the parsed flags into run().
 type opts struct {
 	verify    bool
-	ffwd      bool  // analytic fast-forward engine
 	chaosSeed int64 // 0 disables injection
 	// telemetry wants a tracer attached: any of -trace/-events/-sessions/
 	// -attrib/-listen, or the stats histograms when -stats is combined with
@@ -110,11 +107,9 @@ type simStatus struct {
 	GatedPct float64 `json:"gated_pct"`
 	Sessions int     `json:"sessions"`
 	Halted   bool    `json:"halted"`
-	// Fast-forward veto tally by reason (present when the engine is
-	// attached), and the process-wide snapshot image traffic.
-	FfwdVetoes       map[string]uint64 `json:"ffwd_vetoes,omitempty"`
-	SnapshotSaves    uint64            `json:"snapshot_saves"`
-	SnapshotRestores uint64            `json:"snapshot_restores"`
+	// The process-wide snapshot image traffic.
+	SnapshotSaves    uint64 `json:"snapshot_saves"`
+	SnapshotRestores uint64 `json:"snapshot_restores"`
 	// TimeTravel mirrors /debug/timetravel when a flight recorder records.
 	TimeTravel *flightrec.Status `json:"timetravel,omitempty"`
 }
@@ -122,7 +117,7 @@ type simStatus struct {
 // publishSample snapshots the machine's registry (on the simulation
 // goroutine) and publishes it. The final sample after the run additionally
 // carries per-session energy attribution gauges.
-func publishSample(srv *obs.Server, m *pipeline.Machine, ff *ffwd.Engine, rec *flightrec.Recorder, final bool) {
+func publishSample(srv *obs.Server, m *pipeline.Machine, rec *flightrec.Recorder, final bool) {
 	r := &telemetry.Registry{}
 	m.RegisterMetrics(r)
 	snapshot.RegisterMetrics(r)
@@ -136,12 +131,6 @@ func publishSample(srv *obs.Server, m *pipeline.Machine, ff *ffwd.Engine, rec *f
 		Halted:           m.Halted(),
 		SnapshotSaves:    saves,
 		SnapshotRestores: restores,
-	}
-	if ff != nil {
-		st.FfwdVetoes = make(map[string]uint64, ffwd.NumVetoReasons)
-		for v := 0; v < ffwd.NumVetoReasons; v++ {
-			st.FfwdVetoes[ffwd.VetoReason(v).String()] = ff.S.Vetoes[v]
-		}
 	}
 	if rec != nil {
 		rec.RegisterMetrics(r)
@@ -171,7 +160,6 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 	pipetrace := fs.Int("pipetrace", 0, "record and print a pipeline diagram of the first N instructions")
 	statsFlag := fs.Bool("stats", false, "print the full counter set instead of the summary")
 	verify := fs.Bool("verify", false, "run under the lockstep oracle and invariant checker")
-	ffwdFlag := fs.Bool("ffwd", false, "enable the analytic fast-forward engine (byte-identical results, skips provably periodic loop spans)")
 	chaosFlag := fs.Int64("chaos", 0, "enable seeded fault injection (nonzero seed)")
 	traceOut := fs.String("trace", "", "write a Chrome/Perfetto trace-event JSON file (open at ui.perfetto.dev)")
 	events := fs.String("events", "", "stream telemetry events as JSON lines to this file (\"-\" for stdout)")
@@ -211,7 +199,6 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 	}
 	o := &opts{
 		verify:      *verify,
-		ffwd:        *ffwdFlag,
 		chaosSeed:   *chaosFlag,
 		telemetry:   *traceOut != "" || *events != "" || *sessionsFlag || *attribFlag || *listen != "",
 		eventsPath:  *events,
@@ -295,11 +282,10 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 		// The manifest lets reusedbg rebuild the exact config and program;
 		// run() fills Baseline, which is the one knob decided there.
 		o.frManifest = flightrec.Manifest{
-			Kernel:      *kernel,
-			Distribute:  *distribute,
-			IQSize:      *iq,
-			ChaosSeed:   *chaosFlag,
-			FastForward: *ffwdFlag,
+			Kernel:     *kernel,
+			Distribute: *distribute,
+			IQSize:     *iq,
+			ChaosSeed:  *chaosFlag,
 		}
 		if *kernel == "" {
 			o.frManifest.AsmSource = src
@@ -471,7 +457,6 @@ func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, bool,
 	start := time.Now()
 	cfg := pipeline.DefaultConfig().WithIQSize(iq)
 	cfg.Reuse.Enabled = reuse
-	cfg.FastForward = o.ffwd
 	if o.chaosSeed != 0 {
 		cfg.Chaos = chaos.DefaultConfig(o.chaosSeed)
 	}
@@ -490,7 +475,6 @@ func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, bool,
 	} else {
 		m = pipeline.New(cfg, p)
 	}
-	ff := ffwd.Attach(m)
 
 	var flushEvents func() error
 	if o.telemetry || o.eventsPath != "" {
@@ -544,10 +528,10 @@ func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, bool,
 	}
 
 	if o.srv != nil {
-		m.AttachSampler(o.sampleEvery, func() { publishSample(o.srv, m, ff, rec, false) })
+		m.AttachSampler(o.sampleEvery, func() { publishSample(o.srv, m, rec, false) })
 		// An immediate sample makes /readyz pass before the first interval
 		// elapses.
-		publishSample(o.srv, m, ff, rec, false)
+		publishSample(o.srv, m, rec, false)
 	}
 
 	var orc *lockstep.Oracle
@@ -628,7 +612,7 @@ func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, bool,
 		m.Tel.Finalize(m.Cycle())
 	}
 	if o.srv != nil {
-		publishSample(o.srv, m, ff, rec, true)
+		publishSample(o.srv, m, rec, true)
 	}
 	if flushEvents != nil {
 		if err := flushEvents(); err != nil {
@@ -637,10 +621,6 @@ func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, bool,
 	}
 	if orc != nil {
 		fmt.Fprintf(o.stdout, "verified: %d commits cross-checked against the golden model\n", orc.Commits)
-	}
-	if ff != nil {
-		fmt.Fprintf(o.stderr, "reusesim: ffwd: %d engagements skipped %d cycles (%d iterations, %d insts); %d idle skips saved %d cycles\n",
-			ff.S.Engagements, ff.S.SkippedCycles, ff.S.SkippedIterations, ff.S.SkippedInsts, ff.S.IdleSkips, ff.S.IdleSkippedCycles)
 	}
 	if m.Chaos != nil && !stopped {
 		c := m.Chaos.C

@@ -12,7 +12,6 @@ type LoopCacheState struct {
 	Tail     uint32
 	ValidPCs []uint32 // strictly ascending
 
-	//reuse:nodigest monotonic statistics, extrapolated across a skip by the fast-forward engine
 	Supplies, Fills, Detects, Exits uint64
 }
 

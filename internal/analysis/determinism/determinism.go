@@ -1,9 +1,8 @@
 // Package determinism proves, statically, that the module's fingerprints
 // are stable: in any function reachable from a "//reuse:deterministic"
-// root — the snapshot fingerprints, the wire codec, fast-forward's
-// structural digest, the regression sentinel's canonical capture — nothing
-// may depend on map iteration order, wall-clock or process identity, or
-// bit-lossy float comparison. These are exactly the three accidents that
+// root — the snapshot fingerprints, the wire codec, the regression
+// sentinel's canonical capture — nothing may depend on map iteration order,
+// wall-clock or process identity, or bit-lossy float comparison. These are exactly the three accidents that
 // make a byte-identical artifact quietly non-reproducible: the bytes differ
 // between two runs of the same build, and every downstream comparison
 // (golden files, the cross-run sentinel, checkpoint byte-identity) reports

@@ -1,13 +1,11 @@
 // Package statecov proves, statically, that the machine-state snapshot
 // surface is complete: every field a running component carries is either
 // round-tripped through its state image or explicitly waived as transient,
-// every field of the image structs is written and read by the snapshot wire
-// codec, and every field the snapshot serializes is compared or relabeled by
-// fast-forward's structural digest or explicitly waived. The invariant this
-// enforces is the one PRs 6-9 rest on informally: adding a struct field to a
-// snapshot participant without extending ExportState/ImportState, the codec,
-// and the digest must fail `make lint`, not silently drift checkpoints,
-// flight-recorder seeks and the regression sentinel.
+// and every field of the image structs is written and read by the snapshot
+// wire codec. The invariant this enforces is the one checkpoints rest on:
+// adding a struct field to a snapshot participant without extending
+// ExportState/ImportState and the codec must fail `make lint`, not silently
+// drift checkpoints, flight-recorder seeks and the regression sentinel.
 //
 // Anchors and markers:
 //
@@ -17,14 +15,11 @@
 //   - "//reuse:transient <why>" on a runtime field's declaration waives the
 //     round-trip requirement (scratch buffers, pools, re-attached hooks,
 //     config the snapshot layer fingerprints separately).
-//   - "//reuse:digest" marks the structural-digest function; its named
-//     struct parameters root the digest coverage unit.
 //   - "//reuse:codec encode" / "//reuse:codec decode" mark the wire codec's
 //     entry points; cross-package named structs in their signatures root the
 //     codec coverage unit.
-//   - "//reuse:nodigest <why>" on an image field's declaration waives the
-//     digest requirement (values and counters are extrapolated or
-//     delta-checked separately, labels are deliberately erased).
+//   - "//reuse:nowire <why>" on an image field's declaration waives the
+//     codec requirement (a field the wire format deliberately reconstructs).
 //
 // Coverage is reference-based: a field counts as covered by a method when
 // the field object is referenced anywhere in the method's static call
@@ -57,9 +52,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "statecov",
 	Doc: "every snapshot participant's fields must round-trip through its " +
 		"ExportState/ImportState pair (waiver //reuse:transient <why>), every " +
-		"image field must be wired through the //reuse:codec entry points, and " +
-		"every serialized field must be hashed by the //reuse:digest function " +
-		"(waiver //reuse:nodigest <why>)",
+		"image field must be wired through the //reuse:codec entry points " +
+		"(waiver //reuse:nowire <why>)",
 	Run:         run,
 	ExportFacts: exportFacts,
 }
@@ -96,10 +90,8 @@ type index struct {
 	pairs     map[*types.Named]*pair // fully paired participants
 	half      map[*types.Named]*pair // one side only (a finding)
 	transient *analysis.Waivers
-	nodigest  *analysis.Waivers
 	opaque    map[*types.Named]typeWaiver // type-level transient markers
 
-	digestDecls []*ast.FuncDecl // //reuse:digest functions in this package
 	encodeDecls []*ast.FuncDecl // //reuse:codec encode in this package
 	decodeDecls []*ast.FuncDecl // //reuse:codec decode in this package
 }
@@ -152,8 +144,7 @@ func run(pass *analysis.Pass) (any, error) {
 		pass.Reportf(idx.opaque[named].pos, "//reuse:transient waiver on type %s has no justification", named.Obj().Name())
 	}
 
-	// Digest and codec cross-checks, anchored at the marked functions.
-	idx.checkDigest()
+	// Codec cross-check, anchored at the marked functions.
 	idx.checkCodec()
 	return nil, nil
 }
@@ -166,7 +157,6 @@ func buildIndex(pass *analysis.Pass) *index {
 		pairs:     make(map[*types.Named]*pair),
 		half:      make(map[*types.Named]*pair),
 		transient: analysis.NewWaivers(pass.Fset, files, "transient"),
-		nodigest:  analysis.NewWaivers(pass.Fset, files, "nodigest"),
 		opaque:    make(map[*types.Named]typeWaiver),
 	}
 	for _, f := range files {
@@ -200,9 +190,6 @@ func buildIndex(pass *analysis.Pass) *index {
 			continue
 		}
 		if fd.Recv == nil {
-			if _, isDigest := analysis.Marker(fd.Doc, "digest"); isDigest && inPassFiles(pass, fd) {
-				idx.digestDecls = append(idx.digestDecls, fd)
-			}
 			if side, isCodec := analysis.Marker(fd.Doc, "codec"); isCodec && inPassFiles(pass, fd) {
 				switch side {
 				case "encode":
@@ -238,7 +225,6 @@ func buildIndex(pass *analysis.Pass) *index {
 			p.imp, p.impDecl = fn, fd
 		}
 	}
-	sortDecls(idx.digestDecls)
 	sortDecls(idx.encodeDecls)
 	sortDecls(idx.decodeDecls)
 	for recv, p := range byRecv {
@@ -468,10 +454,9 @@ func missing(exp, imp bool, expName, impName string) string {
 }
 
 // signatureRoots collects the named module structs in a function's
-// parameters and results, excluding the function's own package when
-// crossPkgOnly is set (the codec's writer/reader/dims scaffolding is not
-// state).
-func (idx *index) signatureRoots(fd *ast.FuncDecl, crossPkgOnly bool) []*types.Named {
+// parameters and results, excluding the function's own package (the codec's
+// writer/reader/dims scaffolding is not state).
+func (idx *index) signatureRoots(fd *ast.FuncDecl) []*types.Named {
 	fn := idx.pass.TypesInfo.Defs[fd.Name].(*types.Func)
 	sig := fn.Type().(*types.Signature)
 	var out []*types.Named
@@ -480,7 +465,7 @@ func (idx *index) signatureRoots(fd *ast.FuncDecl, crossPkgOnly bool) []*types.N
 		if named == nil {
 			return
 		}
-		if crossPkgOnly && named.Obj().Pkg() == fn.Pkg() {
+		if named.Obj().Pkg() == fn.Pkg() {
 			return
 		}
 		out = append(out, named)
@@ -495,11 +480,12 @@ func (idx *index) signatureRoots(fd *ast.FuncDecl, crossPkgOnly bool) []*types.N
 }
 
 // checkCoverageUnit walks the image unit rooted at roots, requiring every
-// non-waived field to be referenced per side. sides maps a side label (for
-// the message) to that side's referenced-field set; a field must appear in
-// every side. waivers supplies the field-level escape; label names the
-// checked surface for messages.
-func (idx *index) checkCoverageUnit(roots []*types.Named, sides []refSide, waivers *analysis.Waivers, waiverName, remedy string) {
+// field not waived //reuse:nowire (a field the wire format deliberately
+// reconstructs) to be referenced per side. sides maps a side label (for the
+// message) to that side's referenced-field set; a field must appear in
+// every side.
+func (idx *index) checkCoverageUnit(roots []*types.Named, sides []refSide) {
+	waivers := analysis.NewWaivers(idx.pass.Fset, idx.pass.ModuleFiles(), "nowire")
 	seen := make(map[*types.Named]bool)
 	var work []*types.Named
 	for _, r := range roots {
@@ -517,11 +503,11 @@ func (idx *index) checkCoverageUnit(roots []*types.Named, sides []refSide, waive
 			if why, waived := waivers.At(f.Pos()); waived {
 				switch {
 				case why == "":
-					idx.pass.Reportf(f.Pos(), "//reuse:%s waiver on %s.%s has no justification",
-						waiverName, named.Obj().Name(), f.Name())
+					idx.pass.Reportf(f.Pos(), "//reuse:nowire waiver on %s.%s has no justification",
+						named.Obj().Name(), f.Name())
 				case coveredByAll(sides, f):
-					idx.pass.Reportf(f.Pos(), "stale //reuse:%s waiver: %s.%s is covered by %s",
-						waiverName, named.Obj().Name(), f.Name(), sideNames(sides))
+					idx.pass.Reportf(f.Pos(), "stale //reuse:nowire waiver: %s.%s is covered by %s",
+						named.Obj().Name(), f.Name(), sideNames(sides))
 				}
 				continue
 			}
@@ -529,8 +515,9 @@ func (idx *index) checkCoverageUnit(roots []*types.Named, sides []refSide, waive
 			for _, s := range sides {
 				if !s.refs[f] {
 					covered = false
-					idx.pass.Reportf(f.Pos(), "%s.%s is not referenced by %s: %s",
-						named.Obj().Name(), f.Name(), s.name, remedy)
+					idx.pass.Reportf(f.Pos(), "%s.%s is not referenced by %s: "+
+						"the wire image would not round-trip it; encode and decode it or waive with //reuse:nowire <why>",
+						named.Obj().Name(), f.Name(), s.name)
 				}
 			}
 			if covered {
@@ -568,28 +555,6 @@ func sideNames(sides []refSide) string {
 	return out
 }
 
-// checkDigest enforces that every serialized field is compared or relabeled
-// by the //reuse:digest function, or waived //reuse:nodigest.
-func (idx *index) checkDigest() {
-	for _, fd := range idx.digestDecls {
-		fn := idx.pass.TypesInfo.Defs[fd.Name]
-		refs := idx.fieldRefs(idx.graph.ReachableFrom(fn))
-		roots := idx.signatureRoots(fd, false)
-		if len(roots) == 0 {
-			// Under the vettool protocol the rooted struct usually lives in a
-			// dependency and resolves from export data, not source; the
-			// standalone gate is the mode of record for this unit.
-			if idx.pass.Module != nil {
-				idx.pass.Reportf(fd.Pos(), "//reuse:digest function %s has no named struct parameter to root the coverage unit", fd.Name.Name)
-			}
-			continue
-		}
-		idx.checkCoverageUnit(roots, []refSide{{name: "the structural digest " + fd.Name.Name, refs: refs}},
-			idx.nodigest, "nodigest",
-			"fast-forward would treat drift in it as steady state; hash it or waive with //reuse:nodigest <why>")
-	}
-}
-
 // checkCodec enforces that every image field is wired through both codec
 // sides. The two sides share one coverage unit: the union of their
 // signature roots.
@@ -620,7 +585,7 @@ func (idx *index) checkCodec() {
 	var roots []*types.Named
 	rootSeen := make(map[*types.Named]bool)
 	for _, fd := range append(append([]*ast.FuncDecl{}, idx.encodeDecls...), idx.decodeDecls...) {
-		for _, r := range idx.signatureRoots(fd, true) {
+		for _, r := range idx.signatureRoots(fd) {
 			if !rootSeen[r] {
 				rootSeen[r] = true
 				roots = append(roots, r)
@@ -628,22 +593,18 @@ func (idx *index) checkCodec() {
 		}
 	}
 	if len(roots) == 0 {
-		// Same degradation as checkDigest: package-local type checking can't
-		// see the image structs' source, so the unit belongs to standalone mode.
+		// Under the vettool protocol the image structs usually live in a
+		// dependency and resolve from export data, not source; package-local
+		// type checking can't see them, so the unit belongs to standalone mode.
 		if idx.pass.Module != nil {
 			idx.pass.Reportf(idx.encodeDecls[0].Pos(), "//reuse:codec functions name no cross-package struct to root the coverage unit")
 		}
 		return
 	}
-	idx.checkCoverageUnit(roots,
-		[]refSide{
-			{name: "the wire encoder (//reuse:codec encode)", refs: refsFor(idx.encodeDecls)},
-			{name: "the wire decoder (//reuse:codec decode)", refs: refsFor(idx.decodeDecls)},
-		},
-		// Codec omissions share the nodigest grammar's shape but have their
-		// own marker: a field the wire format deliberately reconstructs.
-		analysis.NewWaivers(idx.pass.Fset, idx.pass.ModuleFiles(), "nowire"), "nowire",
-		"the wire image would not round-trip it; encode and decode it or waive with //reuse:nowire <why>")
+	idx.checkCoverageUnit(roots, []refSide{
+		{name: "the wire encoder (//reuse:codec encode)", refs: refsFor(idx.encodeDecls)},
+		{name: "the wire decoder (//reuse:codec decode)", refs: refsFor(idx.decodeDecls)},
+	})
 }
 
 // exportFacts publishes this package's participant types for dependent

@@ -1,7 +1,7 @@
 // Package statecovtest seeds statecov violations: a runtime struct whose
 // export/import pair drops fields in every distinct way, the transient
-// waiver grammar (justified, unjustified, stale), type-level waivers, an
-// unpaired half, and a structural-digest unit with nodigest waivers.
+// waiver grammar (justified, unjustified, stale), type-level waivers, and an
+// unpaired half.
 package statecovtest
 
 // nested is reached from Tracker through a covered field; its own fields
@@ -72,25 +72,3 @@ type Half struct {
 }
 
 func (h *Half) ExportState() int { return h.x } // want `Half has export method ExportState but no matching import method`
-
-// digestImage is the coverage unit of the digestOf function below.
-type digestImage struct {
-	Hashed int
-	Missed int // want `digestImage\.Missed is not referenced by the structural digest digestOf`
-	//reuse:nodigest recency stamp; the engine compares LRU deltas separately
-	Stamp int
-	//reuse:nodigest
-	badWaiver int // want `//reuse:nodigest waiver on digestImage\.badWaiver has no justification`
-	//reuse:nodigest claims to be excluded
-	staleWaiver int // want `stale //reuse:nodigest waiver: digestImage\.staleWaiver is covered by the structural digest digestOf`
-}
-
-// digestOf hashes the image, but misses one field and hashes one waived
-// field.
-//
-//reuse:digest
-func digestOf(st *digestImage) uint64 {
-	return uint64(st.Hashed)*31 + uint64(st.staleWaiver)
-}
-
-var _ = digestOf

@@ -9,8 +9,7 @@ type BTBLineState struct {
 	Valid  bool
 	Tag    uint32
 	Target uint32
-	//reuse:nodigest recency stamp; the engine checks LRU recency deltas separately before engaging
-	LRU uint64
+	LRU    uint64
 }
 
 // State is the serializable image of a Predictor.
@@ -20,10 +19,8 @@ type State struct {
 	RAS    []uint32
 	RASTop int
 	RASCnt int
-	//reuse:nodigest recency stamp; the engine checks LRU recency deltas separately before engaging
-	Stamp uint64
+	Stamp  uint64
 
-	//reuse:nodigest monotonic statistics, extrapolated across a skip by the fast-forward engine
 	Lookups, Updates, BTBLookups, BTBUpdates, RASOps uint64
 }
 

@@ -368,8 +368,8 @@ func (c *Controller) ConsumeReused(k int) {
 // Wraps counts reuse-pointer wrap-arounds — completed Code Reuse loop
 // iterations. ReuseOrd alone cannot expose them: a small loop can wrap
 // without the ordinal decreasing when several instances are consumed in one
-// cycle. Monotonic within a run; deliberately not part of ControllerState
-// (observers only ever difference it, so the wire format stays unchanged).
+// cycle. Monotonic within a run, and carried in ControllerState (snapshot
+// wire format v2) so a restored controller continues the count.
 func (c *Controller) Wraps() uint64 { return c.wraps }
 
 // maybeDetect runs the loop detector on one dispatched instruction in

@@ -40,16 +40,15 @@ import (
 // buffered (reusable) information recorded while the loop was captured.
 type Entry struct {
 	// Current instance.
-	Seq     uint64
-	PC      uint32
-	Inst    isa.Inst
-	ROBSlot int
-	LSQSlot int // -1 when not a memory operation
-	NumSrc  int
-	SrcPhys [2]int
-	SrcKind [2]isa.RegKind
-	HasDest bool
-	//reuse:nodigest physical label, erased by the relabeling; readiness and producers are hashed positionally
+	Seq      uint64
+	PC       uint32
+	Inst     isa.Inst
+	ROBSlot  int
+	LSQSlot  int // -1 when not a memory operation
+	NumSrc   int
+	SrcPhys  [2]int
+	SrcKind  [2]isa.RegKind
+	HasDest  bool
 	DestPhys int
 	DestKind isa.RegKind
 

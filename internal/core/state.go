@@ -16,19 +16,15 @@ import (
 // SlotMetaState is the exported image of one slot's internal bookkeeping
 // (program-order links, pending-store links, ready-list position).
 type SlotMetaState struct {
-	Next int32
-	//reuse:nodigest dual of Next; the digest hashes the forward order chain only
-	Prev  int32
-	SNext int32
-	//reuse:nodigest dual of SNext; the digest hashes the forward store chain only
+	Next     int32
+	Prev     int32
+	SNext    int32
 	SPrev    int32
 	OrderKey uint64
-	//reuse:nodigest position in ReadySlots, whose order is hashed directly
 	ReadyPos int32
 	Pending  int8
-	//reuse:nodigest derived: the order walk from Head visits exactly the valid slots
-	Valid   bool
-	InStore bool
+	Valid    bool
+	InStore  bool
 }
 
 // QueueState is the complete serializable image of a Queue. Free-stack order
@@ -41,10 +37,8 @@ type QueueState struct {
 	Slots []Entry
 	Meta  []SlotMetaState
 
-	Head int32
-	//reuse:nodigest derived: the tail of the order chain hashed from Head
-	Tail int32
-	//reuse:nodigest free-stack order is a slot-label permutation, erased by the relabeling
+	Head     int32
+	Tail     int32
 	FreeTop  int32
 	OrderGen uint64
 
@@ -54,18 +48,14 @@ type QueueState struct {
 
 	ReadySlots []int32
 
-	WNext []int32
-	//reuse:nodigest dual of WNext; the digest hashes the forward wakeup chains only
-	WPrev []int32
-	//reuse:nodigest physical-register label, erased by the relabeling
+	WNext           []int32
+	WPrev           []int32
 	WReg            []int32
 	IntWait, FPWait []int32
 
 	StoreHead int32
-	//reuse:nodigest derived: the tail of the store chain hashed from StoreHead
 	StoreTail int32
 
-	//reuse:nodigest monotonic statistics, extrapolated across a skip by the fast-forward engine
 	Dispatches, PartialUpdates, IssueReads, Removals, Collapses, SelectScans uint64
 }
 
@@ -290,7 +280,6 @@ type NBLTState struct {
 	Valid []bool
 	Next  int
 
-	//reuse:nodigest monotonic statistics, extrapolated across a skip by the fast-forward engine
 	Lookups, Hits, Inserts uint64
 }
 
@@ -337,10 +326,8 @@ type ControllerState struct {
 	LastIterSize  int
 	FirstIterDone bool
 	ReuseOrd      int
-	//reuse:nodigest wrap deltas are probed separately by the engine's wrap veto
-	Wraps uint64
+	Wraps         uint64
 
-	//reuse:nodigest monotonic statistics, extrapolated across a skip by the fast-forward engine
 	S    Stats
 	NBLT NBLTState
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // TestControllerStateRoundTripsWraps pins a statecov finding: the wrap-around
-// counter is live state — fast-forward's wrap veto reads it through Wraps()
-// to detect reuse-pointer wraps between probes — but ExportState/ImportState
-// silently dropped it, so a controller restored from a checkpoint restarted
-// the count at zero. The counter must survive the round trip exactly.
+// counter is live state, read through Wraps(), but ExportState/ImportState
+// once silently dropped it, so a controller restored from a checkpoint
+// restarted the count at zero. The counter must survive the round trip exactly.
 func TestControllerStateRoundTripsWraps(t *testing.T) {
 	c, q := newCtl(16, 8)
 	head := uint32(base)

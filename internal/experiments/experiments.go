@@ -28,7 +28,6 @@ import (
 
 	"reuseiq/internal/compiler"
 	"reuseiq/internal/core"
-	"reuseiq/internal/ffwd"
 	"reuseiq/internal/flightrec"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/power"
@@ -107,18 +106,12 @@ type Suite struct {
 	// correlated with ledger records. Calls are serialized; cached specs
 	// report instantly. cmd/reusebench uses it for live sweep progress.
 	Progress func(done, total int, sp Spec, r RunResult)
-	// FastForward opts every run into the analytic fast-forward engine
-	// (internal/ffwd). Results are byte-identical either way — the engine
-	// only skips provably periodic spans — so this is purely a wall-clock
-	// lever for large sweeps.
-	FastForward bool
 	// FlightRecDir, when non-empty, runs every cell with a flight recorder
 	// attached: a cell that aborts (even after its retry) leaves its
 	// recording under this directory as a post-mortem artifact
 	// (RunResult.FlightRec; open with reusedbg -dir), while healthy cells
-	// delete theirs on completion. Recording holds the analytic
-	// fast-forward engine down (bit-exact replay contract), so sweeps pay
-	// wall-clock for the debuggability.
+	// delete theirs on completion. Sweeps pay wall-clock for the
+	// debuggability.
 	FlightRecDir string
 
 	// journal, when non-nil, persists completed cells and mid-cell machine
@@ -287,7 +280,6 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 	cfg.Reuse.Enabled = sp.Reuse
 	cfg.Reuse.Strategy = sp.Strategy
 	cfg.Reuse.NBLTSize = k.nblt
-	cfg.FastForward = s.FastForward
 	if s.Sabotage != nil && s.Sabotage(sp) {
 		cfg.MaxCycles = 100
 	}
@@ -303,7 +295,6 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 	if m == nil {
 		m = pipeline.New(cfg, mp)
 	}
-	ffwd.Attach(m)
 	// attempt runs the machine once, with a flight recorder attached when
 	// the suite records. A recording that survives its run (the run
 	// aborted) is the cell's post-mortem artifact; healthy runs delete
@@ -319,15 +310,14 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 			rec, aerr = flightrec.Attach(m, flightrec.Config{
 				Dir: dir,
 				Manifest: flightrec.Manifest{
-					Kernel:      k.kernel,
-					Distribute:  k.dist,
-					IQSize:      k.iq,
-					Baseline:    !k.reuse,
-					Strategy:    int(k.strategy),
-					NBLTSize:    k.nblt,
-					NBLTSet:     true,
-					MaxCycles:   cfg.MaxCycles,
-					FastForward: s.FastForward,
+					Kernel:     k.kernel,
+					Distribute: k.dist,
+					IQSize:     k.iq,
+					Baseline:   !k.reuse,
+					Strategy:   int(k.strategy),
+					NBLTSize:   k.nblt,
+					NBLTSet:    true,
+					MaxCycles:  cfg.MaxCycles,
 				},
 			})
 			if aerr != nil {
@@ -361,7 +351,6 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 		cfg.MaxCycles = 4 * budget
 		m.Release()
 		m = pipeline.New(cfg, mp)
-		ffwd.Attach(m)
 		if runErr = attempt(m, cfg, 2); runErr != nil {
 			runErr = fmt.Errorf("experiments: %s iq=%d reuse=%v (after retry): %w",
 				sp.Kernel, sp.IQSize, sp.Reuse, runErr)

@@ -37,14 +37,13 @@ type Manifest struct {
 	Distribute bool   `json:"distribute,omitempty"`
 
 	// Config knobs (zero values mean "default").
-	IQSize      int    `json:"iq_size,omitempty"`
-	Baseline    bool   `json:"baseline,omitempty"`
-	Strategy    int    `json:"strategy,omitempty"`
-	NBLTSize    int    `json:"nblt_size,omitempty"`
-	NBLTSet     bool   `json:"nblt_set,omitempty"` // NBLTSize is explicit even when 0 (NBLT disabled)
-	MaxCycles   uint64 `json:"max_cycles,omitempty"`
-	ChaosSeed   int64  `json:"chaos_seed,omitempty"`
-	FastForward bool   `json:"fast_forward,omitempty"`
+	IQSize    int    `json:"iq_size,omitempty"`
+	Baseline  bool   `json:"baseline,omitempty"`
+	Strategy  int    `json:"strategy,omitempty"`
+	NBLTSize  int    `json:"nblt_size,omitempty"`
+	NBLTSet   bool   `json:"nblt_set,omitempty"` // NBLTSize is explicit even when 0 (NBLT disabled)
+	MaxCycles uint64 `json:"max_cycles,omitempty"`
+	ChaosSeed int64  `json:"chaos_seed,omitempty"`
 
 	// Recorder parameters and outcome.
 	Interval   uint64 `json:"interval"`
@@ -74,7 +73,6 @@ func (m Manifest) Config() pipeline.Config {
 	if m.MaxCycles > 0 {
 		cfg.MaxCycles = m.MaxCycles
 	}
-	cfg.FastForward = m.FastForward
 	if m.ChaosSeed != 0 {
 		cfg.Chaos = chaos.DefaultConfig(m.ChaosSeed)
 	}

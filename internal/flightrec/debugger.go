@@ -112,8 +112,8 @@ func (d *Debugger) info() error {
 	if src == "" && man.AsmSource != "" {
 		src = "(inline asm)"
 	}
-	fmt.Fprintf(d.Out, "run      kernel=%s baseline=%v iq=%d chaos-seed=%d ffwd=%v\n",
-		src, man.Baseline, man.IQSize, man.ChaosSeed, man.FastForward)
+	fmt.Fprintf(d.Out, "run      kernel=%s baseline=%v iq=%d chaos-seed=%d\n",
+		src, man.Baseline, man.IQSize, man.ChaosSeed)
 	fmt.Fprintf(d.Out, "session  %d restores, %d cycles replayed\n", d.S.Restores, d.S.Replayed)
 	return nil
 }

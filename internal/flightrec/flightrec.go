@@ -168,8 +168,7 @@ type persistJob struct {
 
 // Attach builds a recorder for m and splices it into the machine's telemetry
 // sink chain (attaching a tracer if the machine has none — the tracer does
-// not perturb the run and does not veto the fast-forward engine, whose skips
-// annotate the timeline instead). It takes an immediate checkpoint, so the
+// not perturb the run). It takes an immediate checkpoint, so the
 // seekable range starts at the machine's current cycle.
 func Attach(m *pipeline.Machine, cfg Config) (*Recorder, error) {
 	cfg = cfg.normalized()
@@ -184,11 +183,6 @@ func Attach(m *pipeline.Machine, cfg Config) (*Recorder, error) {
 			return nil, err
 		}
 	}
-	// Checkpoints are diffed and replayed byte-for-byte; the fast-forward
-	// engine's analytic skips (architecturally exact, microarchitecturally
-	// re-derived) must stand down. Its bit-exact idle skips keep running
-	// and annotate the timeline instead.
-	m.ExactState = true
 	tel := m.Tel
 	if tel == nil {
 		// The recorder owns the event stream; the tracer's own ring is

@@ -10,11 +10,9 @@ import (
 
 	"reuseiq/internal/asm"
 	"reuseiq/internal/chaos"
-	"reuseiq/internal/ffwd"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/prog"
 	"reuseiq/internal/snapshot"
-	"reuseiq/internal/telemetry"
 )
 
 // loopSource is a small reuse-heavy loop: long enough to cross many
@@ -43,7 +41,6 @@ func loopProgram(t *testing.T) *prog.Program {
 func record(t *testing.T, cfg pipeline.Config, p *prog.Program, rc Config) *Archive {
 	t.Helper()
 	m := pipeline.New(cfg, p)
-	ffwd.Attach(m)
 	rec, err := Attach(m, rc)
 	if err != nil {
 		t.Fatal(err)
@@ -57,9 +54,9 @@ func record(t *testing.T, cfg pipeline.Config, p *prog.Program, rc Config) *Arch
 	return rec.Archive()
 }
 
-// referenceImages runs a fresh machine cycle-accurately (no recorder, no
-// fast-forward) and captures a snapshot image at each target cycle. This is
-// the uninterrupted-run oracle every seek must match byte for byte.
+// referenceImages runs a fresh machine cycle-accurately (no recorder) and
+// captures a snapshot image at each target cycle. This is the
+// uninterrupted-run oracle every seek must match byte for byte.
 func referenceImages(t *testing.T, cfg pipeline.Config, p *prog.Program, targets []uint64) map[uint64][]byte {
 	t.Helper()
 	sorted := append([]uint64(nil), targets...)
@@ -171,73 +168,6 @@ func TestSeekDeterminism(t *testing.T) {
 		}
 		if !bytes.Equal(img, want[n]) {
 			t.Fatalf("seek %d from checkpoint %d (cycle %d): image differs from uninterrupted run", n, ci, ck.Cycle)
-		}
-	}
-}
-
-// TestSeekDeterminismFastForward re-states the property on a run with the
-// fast-forward engine attached. The recorder's exact-state contract makes
-// the engine's analytic loop skip stand down (its post-skip states are
-// architecturally exact but not bit-identical, so they cannot back a
-// byte-level debugger), while the bit-exact idle skip keeps running and
-// stamps synthetic annotations — the timeline shows why gaps have no
-// events, and every seek still matches plain cycle-accurate execution.
-func TestSeekDeterminismFastForward(t *testing.T) {
-	p := ffwd.LoopmarkProgram(50_000)
-	cfg := pipeline.DefaultConfig()
-	cfg.FastForward = true
-
-	m := pipeline.New(cfg, p)
-	e := ffwd.Attach(m)
-	rec, err := Attach(m, Config{Interval: 20_000, Depth: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RunBreakable(64, rec.Break); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	a := rec.Archive()
-
-	if e.S.Engagements != 0 {
-		t.Fatalf("analytic engine engaged %d times under the flight recorder", e.S.Engagements)
-	}
-	if e.S.Vetoes[ffwd.VetoExactState] == 0 {
-		t.Fatalf("expected an exact-state veto, stats %+v", e.S)
-	}
-	var annotated uint64
-	for _, ev := range a.Events {
-		if ev.Kind == telemetry.EvIdleSkip {
-			annotated += ev.A
-		}
-	}
-	if annotated != e.S.IdleSkippedCycles {
-		t.Fatalf("idle-skip annotations cover %d cycles, engine skipped %d", annotated, e.S.IdleSkippedCycles)
-	}
-	if e.S.IdleSkips > 0 && annotated == 0 {
-		t.Fatal("idle skips happened but left no timeline annotation")
-	}
-
-	refCfg := cfg
-	refCfg.FastForward = false
-	rng := rand.New(rand.NewSource(2))
-	targets := seekTargets(a, 8, rng)
-	want := referenceImages(t, refCfg, p, targets)
-
-	s := NewSession(a)
-	defer s.Close()
-	for _, n := range targets {
-		if err := s.Seek(n); err != nil {
-			t.Fatalf("seek %d: %v", n, err)
-		}
-		img, err := s.Image()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(img, want[n]) {
-			t.Fatalf("seek %d (inside a fast-forwarded span): image differs from cycle-accurate run", n)
 		}
 	}
 }

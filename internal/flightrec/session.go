@@ -136,9 +136,8 @@ func (s *Session) RStep(k uint64) error {
 	return s.Seek(cur - k)
 }
 
-// advance replays the live machine to cycle n, cycle-accurately (the
-// fast-forward engine stays detached: a debugger replay must visit every
-// cycle so watchpoints and dumps see true microarchitectural state).
+// advance replays the live machine to cycle n, cycle by cycle, so
+// watchpoints and dumps see every intermediate microarchitectural state.
 func (s *Session) advance(n uint64) error {
 	start := s.m.Cycle()
 	if start >= n {

@@ -14,7 +14,7 @@ import (
 // buffering attempt was revoked, why the pipeline squashed. The chain is
 // assembled from the controller's own event vocabulary (buffer, promote,
 // revoke, reuse-exit) plus the incident kinds that trigger transitions
-// (mispredicts, chaos injections, NBLT activity, fast-forward annotations).
+// (mispredicts, chaos injections, NBLT activity).
 
 // timelineAt is the event-derived controller context at a cycle: the
 // current RIQ episode and the most recent incidents, gathered in one
@@ -41,8 +41,7 @@ func incidentKind(k telemetry.Kind) bool {
 	case telemetry.EvBuffer, telemetry.EvPromote, telemetry.EvRevoke,
 		telemetry.EvReuseExit, telemetry.EvMispredict, telemetry.EvChaosFlip,
 		telemetry.EvChaosStall, telemetry.EvChaosJitter, telemetry.EvChaosRevoke,
-		telemetry.EvNBLTHit, telemetry.EvNBLTInsert,
-		telemetry.EvFastForward, telemetry.EvIdleSkip:
+		telemetry.EvNBLTHit, telemetry.EvNBLTInsert:
 		return true
 	default:
 		// Per-instruction lifecycle events and iteration ticks are volume,
@@ -80,9 +79,8 @@ func scanTimeline(a *Archive, cycle uint64) timelineAt {
 		case telemetry.EvNBLTInsert:
 			t.lastNBLTInsert = e
 		default:
-			// Remaining kinds (lifecycle, jitter, NBLT hits, ffwd
-			// annotations) don't move the timeline state; they only anchor
-			// incidents, handled below.
+			// Remaining kinds (lifecycle, jitter, NBLT hits) don't move the
+			// timeline state; they only anchor incidents, handled below.
 		}
 		if incidentKind(e.Kind) {
 			t.incident = e
@@ -186,11 +184,6 @@ func explainEvent(b *strings.Builder, a *Archive, t timelineAt, e *telemetry.Eve
 		if r := findBefore(a, e.Cycle, telemetry.EvRevoke, 0); r != nil && r.Cycle == e.Cycle {
 			fmt.Fprintf(b, "%s(recorded by the revoke at the same cycle)\n", indent)
 		}
-	case telemetry.EvFastForward:
-		fmt.Fprintf(b, "%scycle %d: fast-forward skipped %d iterations (%d cycles) of loop 0x%x analytically\n",
-			indent, e.Cycle, e.A, e.B, e.PC)
-	case telemetry.EvIdleSkip:
-		fmt.Fprintf(b, "%scycle %d: %d provably inert cycles skipped (no events elided)\n", indent, e.Cycle, e.A)
 	default:
 		fmt.Fprintf(b, "%scycle %d: %s pc=0x%x a=%d b=%d\n", indent, e.Cycle, e.Kind, e.PC, e.A, e.B)
 	}

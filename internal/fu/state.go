@@ -11,8 +11,7 @@ const NumKinds = int(numKinds)
 // State is the serializable image of a Pool.
 type State struct {
 	NextFree [NumKinds][]uint64
-	//reuse:nodigest monotonic statistics, extrapolated across a skip by the fast-forward engine
-	Ops [NumKinds]uint64
+	Ops      [NumKinds]uint64
 }
 
 // ExportState returns a deep copy of the pool's state.

@@ -59,17 +59,9 @@ func AttachOracle(m *pipeline.Machine, p *prog.Program) *Oracle {
 
 // AttachChecker installs only the per-cycle invariant checker on m.
 func AttachChecker(m *pipeline.Machine) *Checker {
-	k := NewChecker(m)
+	k := &Checker{m: m}
 	m.OnCycle = k.Check
 	return k
-}
-
-// NewChecker builds a checker without installing it on the machine's OnCycle
-// hook. Callers that validate at specific boundaries — the fast-forward
-// engine checks invariants at engage and disengage without paying a per-cycle
-// hook — invoke Check directly.
-func NewChecker(m *pipeline.Machine) *Checker {
-	return &Checker{m: m}
 }
 
 // onCommit advances the golden model by one instruction and cross-checks

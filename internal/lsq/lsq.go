@@ -20,10 +20,8 @@ type Entry struct {
 
 	// Store data, captured at execute.
 	DataReady bool
-	//reuse:nodigest architectural value; the digest hashes microarchitectural structure, values are extrapolated
-	DataI int32
-	//reuse:nodigest architectural value; the digest hashes microarchitectural structure, values are extrapolated
-	DataF float64
+	DataI     int32
+	DataF     float64
 
 	Done bool // executed (loads: value obtained; stores: addr+data ready)
 }

@@ -10,18 +10,15 @@ type LineState struct {
 	Valid bool
 	Dirty bool
 	Tag   uint32
-	//reuse:nodigest recency stamp; the engine checks LRU recency deltas separately before engaging
-	LRU uint64
+	LRU   uint64
 }
 
 // CacheState is the serializable image of a Cache: all lines flattened
 // row-major (set-major, way-minor) plus the LRU stamp and activity counters.
 type CacheState struct {
 	Lines []LineState
-	//reuse:nodigest recency stamp; the engine checks LRU recency deltas separately before engaging
 	Stamp uint64
 
-	//reuse:nodigest monotonic statistics, extrapolated across a skip by the fast-forward engine
 	Accesses, Misses, Writebacks uint64
 }
 
@@ -73,7 +70,6 @@ type HierarchyState struct {
 	L0I          CacheState
 	ITLB, DTLB   CacheState
 
-	//reuse:nodigest monotonic statistics, extrapolated across a skip by the fast-forward engine
 	L2WritebackAccesses uint64
 }
 

@@ -24,9 +24,10 @@ func goldenSamples() (cur, prev *Sample) {
 		r := &telemetry.Registry{}
 		r.CounterVal("sim.cycles", cycles)
 		r.CounterVal("sim.commits", commits)
-		// The fast-forward veto tally, snapshot image traffic and flight
-		// recorder progress ride the same exposition; pinning one of each
-		// family here keeps their rendering contract golden.
+		// A multi-segment dotted counter (a synthetic fixture; no live
+		// component emits it), snapshot image traffic and flight recorder
+		// progress ride the same exposition; pinning one of each family
+		// here keeps their rendering contract golden.
 		r.CounterVal("ffwd.vetoes.exact_state", cycles/1000)
 		r.CounterVal("snapshot.saves", 7)
 		r.CounterVal("snapshot.restores", 2)

@@ -55,13 +55,6 @@ type Config struct {
 	// when no instruction commits for that long (0 = DefaultWatchdog).
 	MaxCycles      uint64
 	WatchdogCycles uint64
-
-	// FastForward opts the machine into the internal/ffwd convergence
-	// detector (simulation-speed only; modeled results are unchanged).
-	// The pipeline itself never reads it — harnesses and CLIs call
-	// ffwd.Attach, which honors the flag. Excluded from the snapshot
-	// config fingerprint for the same reason.
-	FastForward bool
 }
 
 // Default simulation limits.

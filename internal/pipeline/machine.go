@@ -212,31 +212,6 @@ type Machine struct {
 	SampleEvery uint64
 	//reuse:transient sampling countdown, re-armed by AttachSampler
 	sampleLeft uint64
-
-	// ExactState declares that a consumer checkpoints, diffs, or replays
-	// this machine's intermediate states byte-for-byte (the flight recorder
-	// sets it). Optimizations that preserve architectural state and
-	// counters but not the bit-exact microarchitectural arrangement — the
-	// fast-forward engine's analytic loop skip — must stand down while it
-	// is set. Bit-exact shortcuts (the idle-cycle skip) are unaffected.
-	//reuse:transient consumer declaration set by the host (flight recorder), not machine state
-	ExactState bool
-
-	// FF, when non-nil, is consulted between cycles by RunBreakable and
-	// may advance the machine over provably repetitive or inert spans
-	// (the internal/ffwd engine). Nil-guarded: one pointer check per
-	// cycle when disabled. An error aborts the run like a hook error.
-	//reuse:nilguard
-	//reuse:transient acceleration hook; the host re-attaches the engine after a restore
-	FF FastForwarder
-}
-
-// FastForwarder is the hook interface the fast-forward engine implements.
-// Tick runs between cycles (after the budget and watchdog checks) and may
-// mutate the machine to skip ahead, as long as the resulting state is one
-// the cycle-accurate simulation would also have reached.
-type FastForwarder interface {
-	Tick() error
 }
 
 // AttachSampler installs fn as the periodic sampler, firing every `every`
@@ -339,10 +314,6 @@ func (m *Machine) Halted() bool { return m.halted }
 
 // Cycle returns the current cycle number.
 func (m *Machine) Cycle() uint64 { return m.cycle }
-
-// FetchPC returns the next fetch address. The fast-forward engine uses it to
-// anchor iteration marks on loop back-edges when the front end is not gated.
-func (m *Machine) FetchPC() uint32 { return m.fetchPC }
 
 // IPC returns committed instructions per cycle.
 func (m *Machine) IPC() float64 {

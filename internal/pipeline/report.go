@@ -109,12 +109,6 @@ func (m *Machine) RegisterMetrics(r *telemetry.Registry) {
 		r.RegisterHistogram("hist.session_cycles", &m.Tel.SessionCycles)
 		r.RegisterHistogram("hist.issue_to_commit", &m.Tel.IssueToCommit)
 	}
-
-	// An attached fast-forward engine contributes its own counters; the
-	// interface is asserted here so pipeline need not import the engine.
-	if ff, ok := m.FF.(interface{ RegisterMetrics(*telemetry.Registry) }); ok {
-		ff.RegisterMetrics(r)
-	}
 }
 
 // StatsSet exports every counter of the machine and its components as an

@@ -45,10 +45,8 @@ type ExecState struct {
 	ROBSlot int
 	Seq     uint64
 	Done    uint64 // absolute completion cycle
-	//reuse:nodigest architectural value; the digest hashes microarchitectural structure, values are extrapolated
-	ValI int32
-	//reuse:nodigest architectural value; the digest hashes microarchitectural structure, values are extrapolated
-	ValF float64
+	ValI    int32
+	ValF    float64
 }
 
 // MachineState is the complete serializable image of a Machine, aggregating
@@ -61,28 +59,24 @@ type MachineState struct {
 	FetchStallUntil uint64
 	FetchHalted     bool
 	Halted          bool
-	//reuse:nodigest watchdog bookkeeping, extrapolated across a skip like the counters
-	LastCommit uint64
+	LastCommit      uint64
 
-	//reuse:nodigest monotonic counters, extrapolated across a skip by the fast-forward engine
 	C Counters
 
 	FetchQ    []FetchedState
 	DecodeLat []FetchedState
 	ExecQ     []ExecState
 
-	//reuse:nodigest architectural data memory; the digest hashes microarchitectural structure, values are extrapolated
 	Pages []prog.PageImage
 
-	RF   rename.State
-	ROB  rob.State
-	LSQ  lsq.State
-	IQ   core.QueueState
-	Ctl  core.ControllerState
-	Hier mem.HierarchyState
-	BP   bpred.State
-	FUs  fu.State
-	//reuse:nodigest the engine stands down under chaos injection; a faulted run is never a provable steady state
+	RF    rename.State
+	ROB   rob.State
+	LSQ   lsq.State
+	IQ    core.QueueState
+	Ctl   core.ControllerState
+	Hier  mem.HierarchyState
+	BP    bpred.State
+	FUs   fu.State
 	Chaos chaos.State
 
 	HasLC bool
@@ -365,11 +359,6 @@ func (m *Machine) RunBreakable(every uint64, brk func() bool) error {
 		if m.cycle-m.lastCommit > m.Cfg.WatchdogCycles {
 			return fmt.Errorf("pipeline: no commit for %d cycles at cycle %d (%s)",
 				m.Cfg.WatchdogCycles, m.cycle, m.stateSummary())
-		}
-		if m.FF != nil {
-			if err := m.FF.Tick(); err != nil {
-				return err
-			}
 		}
 		if brk != nil {
 			if left--; left == 0 {

@@ -11,9 +11,7 @@ import (
 
 // State is the serializable image of a RegFile.
 type State struct {
-	//reuse:nodigest architectural value; the digest hashes microarchitectural structure, values are extrapolated
-	IntVals []int32
-	//reuse:nodigest architectural value; the digest hashes microarchitectural structure, values are extrapolated
+	IntVals  []int32
 	FPVals   []float64
 	IntReady []bool
 	FPReady  []bool
@@ -22,7 +20,6 @@ type State struct {
 	IntFree  []int // stack, bottom first
 	FPFree   []int
 
-	//reuse:nodigest monotonic statistics, extrapolated across a skip by the fast-forward engine
 	Renames, MapReads, Reads, Writes uint64
 }
 

@@ -18,7 +18,6 @@ type Entry struct {
 	HasDest bool
 	Dest    isa.Reg
 	NewPhys int
-	//reuse:nodigest the pre-rename mapping, a physical label freed at commit; erased by the relabeling
 	OldPhys int
 
 	Done bool // executed and written back

@@ -13,7 +13,6 @@ type State struct {
 	Head  int
 	Count int
 
-	//reuse:nodigest monotonic statistics, extrapolated across a skip by the fast-forward engine
 	Allocs, Commits uint64
 }
 

@@ -8,18 +8,14 @@ import (
 )
 
 // BenchSchemaVersion guards the machine-readable benchmark summaries
-// (BENCH_simcore.json, BENCH_ffwd.json). Like ledger records they are
+// (BENCH_simcore.json). Like ledger records they are
 // versioned so a reader can refuse data it does not understand instead of
 // mis-diffing it.
 const BenchSchemaVersion = 1
 
-// Bench record kinds.
-const (
-	// BenchSimcore is the sweep throughput summary reusebench writes.
-	BenchSimcore = "simcore"
-	// BenchFfwd is the fast-forward on/off comparison.
-	BenchFfwd = "ffwd"
-)
+// BenchSimcore is the sweep throughput summary reusebench writes, and the
+// only bench record kind.
+const BenchSimcore = "simcore"
 
 // BenchThroughput is the simcore headline: whole-sweep simulation throughput.
 type BenchThroughput struct {
@@ -38,17 +34,6 @@ type BenchSection struct {
 	WallNS int64  `json:"wall_ns"`
 }
 
-// BenchFfwdSection is one row of the fast-forward comparison: identical work
-// simulated with the analytic fast-forward engine off and on.
-type BenchFfwdSection struct {
-	Name    string  `json:"name"`
-	Off     string  `json:"off"`
-	On      string  `json:"on"`
-	OffNS   int64   `json:"off_ns"`
-	OnNS    int64   `json:"on_ns"`
-	Speedup float64 `json:"speedup"`
-}
-
 // BenchRecord is the unified schema for the repo's machine-readable
 // benchmark files: one versioned envelope whose kind selects the payload.
 type BenchRecord struct {
@@ -57,8 +42,6 @@ type BenchRecord struct {
 	// Throughput and Sections are the simcore payload.
 	Throughput *BenchThroughput `json:"throughput,omitempty"`
 	Sections   []BenchSection   `json:"sections,omitempty"`
-	// Ffwd is the ffwd payload.
-	Ffwd []BenchFfwdSection `json:"ffwd,omitempty"`
 }
 
 // Validate checks the envelope and the kind's payload shape.
@@ -77,18 +60,6 @@ func (b *BenchRecord) Validate() error {
 		for i, s := range b.Sections {
 			if s.Name == "" {
 				return fmt.Errorf("simcore section %d has no name", i)
-			}
-		}
-	case BenchFfwd:
-		if len(b.Ffwd) == 0 {
-			return fmt.Errorf("ffwd record has no sections")
-		}
-		for i, s := range b.Ffwd {
-			if s.Name == "" {
-				return fmt.Errorf("ffwd section %d has no name", i)
-			}
-			if s.OffNS < 0 || s.OnNS < 0 {
-				return fmt.Errorf("ffwd section %q has negative timings", s.Name)
 			}
 		}
 	default:
@@ -136,8 +107,7 @@ func WriteBenchRecord(path string, b *BenchRecord) error {
 }
 
 // MetricValues flattens the record's payload into named values for diffing:
-// simcore yields the throughput block plus per-section wall times, ffwd
-// yields per-section off/on times and speedups.
+// simcore yields the throughput block plus per-section wall times.
 func (b *BenchRecord) MetricValues() map[string]float64 {
 	out := map[string]float64{}
 	switch b.Kind {
@@ -150,12 +120,6 @@ func (b *BenchRecord) MetricValues() map[string]float64 {
 		out["allocs_per_cycle"] = t.AllocsPerCycle
 		for _, s := range b.Sections {
 			out["section."+s.Name+".wall_ns"] = float64(s.WallNS)
-		}
-	case BenchFfwd:
-		for _, s := range b.Ffwd {
-			out["ffwd."+s.Name+".off_ns"] = float64(s.OffNS)
-			out["ffwd."+s.Name+".on_ns"] = float64(s.OnNS)
-			out["ffwd."+s.Name+".speedup"] = s.Speedup
 		}
 	}
 	return out

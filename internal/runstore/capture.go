@@ -63,7 +63,6 @@ func FromMachine(m *pipeline.Machine) Record {
 		Strategy:    int(m.Cfg.Reuse.Strategy),
 		NBLTSize:    m.Cfg.Reuse.NBLTSize,
 		Fingerprint: snapshot.FingerprintOf(m.Cfg, m.Prog).String(),
-		FastForward: m.Cfg.FastForward,
 		Cycles:      m.C.Cycles,
 		Commits:     m.C.Commits,
 		IPC:         m.IPC(),

@@ -128,7 +128,6 @@ type Record struct {
 	// change the run's observable surface.
 	Fingerprint string `json:"fingerprint"`
 	ChaosSeed   int64  `json:"chaos_seed,omitempty"`
-	FastForward bool   `json:"ffwd,omitempty"`
 	FlightRec   bool   `json:"flightrec,omitempty"`
 	Verified    bool   `json:"verified,omitempty"`
 
@@ -345,7 +344,6 @@ type Filter struct {
 	Kernel      string
 	Fingerprint string // full "cfg:prog" form, or a config-hash prefix
 	IQSize      int
-	FastForward *bool
 	Reuse       *bool
 	// Last keeps only the most recent N matches (0 = all).
 	Last int
@@ -357,7 +355,6 @@ func (f Filter) Match(rec *Record) bool {
 	case f.Kind != "" && rec.Kind != f.Kind,
 		f.Kernel != "" && rec.Kernel != f.Kernel,
 		f.IQSize != 0 && rec.IQSize != f.IQSize,
-		f.FastForward != nil && rec.FastForward != *f.FastForward,
 		f.Reuse != nil && rec.Reuse != *f.Reuse:
 		return false
 	}

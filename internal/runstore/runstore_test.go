@@ -295,6 +295,45 @@ func TestSentinelMissingCounterIsDrift(t *testing.T) {
 	}
 }
 
+// TestSentinelAcceptsRetiredFastForwardRecord: ledgers written while the
+// fast-forward engine existed carry an "ffwd" flag and ffwd.* counters on
+// engine-on runs. Such a line must still load, and must not drift against a
+// fresh run of the same fingerprint that has no ffwd.* counters at all.
+func TestSentinelAcceptsRetiredFastForwardRecord(t *testing.T) {
+	const old = `{"v":1,"id":"0123456789abcdef","kind":"sim","start":"2026-08-09T12:00:00Z",` +
+		`"kernel":"aps","iq":64,"reuse":true,"nblt":8,` +
+		`"fingerprint":"abcd000000000000:ef01000000000000","ffwd":true,` +
+		`"cycles":1000,"commits":2500,"ipc":2.5,"gated":0,` +
+		`"metrics":{"counters":[{"name":"commit.loads","value":400},{"name":"ffwd.idle_skips","value":3},` +
+		`{"name":"iq.dispatches","value":2600},{"name":"sim.commits","value":2500},` +
+		`{"name":"sim.cycles","value":1000},{"name":"telemetry.events","value":7}],` +
+		`"gauges":[{"name":"sim.ipc","value":2.5}]},` +
+		`"energy":{"issueq":123.5,"total":900.25},` +
+		`"host":{"goos":"linux","goarch":"amd64","cpus":8,"go":"go1.22","wall_ns":1000000000}}` + "\n"
+	path := ledgerPath(t)
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("loaded %d records, want 1", len(recs))
+	}
+	if v, ok := recs[0].Metrics.Counter("ffwd.idle_skips"); !ok || v != 3 {
+		t.Fatalf("ffwd.idle_skips = %d, %v after load", v, ok)
+	}
+	fresh := testRecord("bbbbbbbbbbbbbbbb", recs[0].Fingerprint, time.Second)
+	rep := Sentinel(append(recs, fresh))
+	if !rep.Pass() {
+		t.Fatalf("retired ffwd counter counted as drift: %+v", rep.Drifts())
+	}
+	if len(rep.Groups) != 1 {
+		t.Fatalf("%d fingerprint groups, want the two records grouped", len(rep.Groups))
+	}
+}
+
 func TestSentinelGroupsAndSkips(t *testing.T) {
 	a := testRecord("aaaaaaaaaaaaaaaa", "1111000000000000:2222000000000000", time.Second)
 	b := testRecord("bbbbbbbbbbbbbbbb", "3333000000000000:2222000000000000", time.Second)
@@ -410,6 +449,7 @@ func TestBenchRecordValidate(t *testing.T) {
 	}{
 		{"future version", func(b *BenchRecord) { b.V = BenchSchemaVersion + 1 }},
 		{"unknown kind", func(b *BenchRecord) { b.Kind = "mystery" }},
+		{"retired ffwd kind", func(b *BenchRecord) { b.Kind = "ffwd" }},
 		{"simcore without throughput", func(b *BenchRecord) { b.Throughput = nil }},
 		{"unnamed section", func(b *BenchRecord) { b.Sections[0].Name = "" }},
 	}
@@ -420,14 +460,6 @@ func TestBenchRecordValidate(t *testing.T) {
 		if err := b.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-	}
-	ffwd := &BenchRecord{V: BenchSchemaVersion, Kind: BenchFfwd}
-	if err := ffwd.Validate(); err == nil {
-		t.Error("ffwd record with no sections accepted")
-	}
-	ffwd.Ffwd = []BenchFfwdSection{{Name: "figure5", OffNS: 10, OnNS: 5, Speedup: 2}}
-	if err := ffwd.Validate(); err != nil {
-		t.Errorf("valid ffwd record rejected: %v", err)
 	}
 }
 
@@ -463,7 +495,7 @@ func TestBenchRecordRoundTripAndDiff(t *testing.T) {
 	if row := byName["ns_per_cycle"]; !row.Changed() || row.B != 0.12 {
 		t.Errorf("ns_per_cycle row wrong: %+v", row)
 	}
-	if _, err := DiffBench(a, &BenchRecord{V: 1, Kind: BenchFfwd, Ffwd: []BenchFfwdSection{{Name: "x"}}}); err == nil {
+	if _, err := DiffBench(a, &BenchRecord{V: 1, Kind: "mystery"}); err == nil {
 		t.Error("cross-kind diff accepted")
 	}
 

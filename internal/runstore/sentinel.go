@@ -12,11 +12,13 @@ import (
 
 // observerPrefixes are the metric namespaces that legitimately vary between
 // fingerprint-identical runs: they count the work of observers (telemetry
-// tracer, flight recorder, obs sampler, snapshot engine) or of the
-// fast-forward engine, whose attachment is a host-side choice deliberately
-// excluded from the config fingerprint. Every other namespace is modeled
-// state and must be bit-identical between fingerprint-identical runs.
+// tracer, flight recorder, obs sampler, snapshot engine). Every other
+// namespace is modeled state and must be bit-identical between
+// fingerprint-identical runs.
 var observerPrefixes = []string{
+	// Ledgers written while the retired fast-forward engine existed carry
+	// ffwd.* counters on engine-on runs only; without this prefix a modeled
+	// counter missing from one record would count as drift.
 	"ffwd.",
 	"flightrec.",
 	"telemetry.",

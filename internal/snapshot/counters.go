@@ -1,6 +1,5 @@
 // Process-wide snapshot activity counters. Snapshots are encoded and decoded
-// from many layers (reusesim checkpoints, the experiment journal, the
-// fast-forward engine's ring is state-only and does NOT count, the flight
+// from many layers (reusesim checkpoints, the experiment journal, the flight
 // recorder) — a single pair of process-wide counters is what an operator
 // watching /status or /metrics wants: "is this run snapshotting, and how
 // often". Atomics, because sweeps encode from many goroutines at once.

@@ -60,10 +60,8 @@ var (
 
 // configFingerprint is the view of pipeline.Config that ConfigHash prints.
 // It pins the original field set and order so the hash stays stable when
-// Config grows fields that cannot affect modeled state (FastForward is a
-// simulation-speed toggle: a snapshot taken with it on restores bit-identical
-// under a config with it off, so it must not perturb the fingerprint).
-// Extend this struct only for fields that change simulated behavior.
+// Config grows fields that cannot affect modeled state. Extend this struct
+// only for fields that change simulated behavior.
 type configFingerprint struct {
 	FetchWidth, DecodeWidth, IssueWidth, CommitWidth, FetchQueueSize int
 	IQSize, ROBSize, LSQSize                                         int

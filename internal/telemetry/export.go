@@ -188,12 +188,6 @@ func writeTrace(w io.Writer, events []Event, opts traceOpts) error {
 				"pc": fmt.Sprintf("0x%x", e.PC), "target": fmt.Sprintf("0x%x", e.A)})
 		case EvChaosFlip, EvChaosStall, EvChaosJitter, EvChaosRevoke:
 			instant(tidEvents, e.Kind.String(), e.Cycle, nil)
-		case EvFastForward:
-			instant(tidEvents, "fast-forward", e.Cycle, map[string]any{
-				"iterations": e.A, "cycles": e.B})
-		case EvIdleSkip:
-			instant(tidEvents, "idle-skip", e.Cycle, map[string]any{
-				"cycles": e.A})
 		case EvDispatch:
 			insts[e.A] = &instLife{pc: e.PC, reused: e.B == 1,
 				dispatch: e.Cycle, hasDispatch: true}

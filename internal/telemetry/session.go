@@ -80,17 +80,6 @@ func (l *sessionLog) reuseSupplied(k int) {
 	}
 }
 
-// fastForward bulk-attributes a fast-forwarded span to the open session:
-// gated cycles and reuse-supplied instances the skipped cycles would have
-// accrued one at a time. Keeps the per-session totals reconciled with the
-// machine's global counters, which the engine advances by the same amounts.
-func (l *sessionLog) fastForward(gated, reused uint64) {
-	if l.active {
-		l.cur.GatedCycles += gated
-		l.cur.ReusedInsts += reused
-	}
-}
-
 func (l *sessionLog) close(cycle uint64, e core.CtlEvent, reason core.RevokeReason) *Session {
 	if !l.active {
 		return nil

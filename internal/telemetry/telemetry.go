@@ -60,23 +60,12 @@ const (
 	EvComplete
 	// EvCommit: instruction A committed (PC, subject to InstLimit).
 	EvCommit
-	// EvFastForward: the fast-forward engine skipped ahead analytically
-	// (PC = loop head or fetch anchor, A = iterations skipped, B = cycles
-	// skipped). Appended last so earlier kinds keep their wire values.
-	EvFastForward
-	// EvIdleSkip: the fast-forward engine jumped an event-driven idle gap
-	// (A = cycles skipped). The synthetic annotation keeps a cycle-indexed
-	// timeline (the flight recorder) from showing an unexplained hole where
-	// no cycle was simulated. Appended after EvFastForward for the same
-	// wire-value stability reason.
-	EvIdleSkip
 )
 
 var kindNames = [...]string{
 	"", "buffer", "promote", "revoke", "reuse-exit", "iteration",
 	"nblt-hit", "nblt-insert", "mispredict", "chaos-flip", "chaos-stall",
 	"chaos-jitter", "chaos-revoke", "dispatch", "issue", "complete", "commit",
-	"fast-forward", "idle-skip",
 }
 
 func (k Kind) String() string {
@@ -246,22 +235,6 @@ func (t *Tracer) GatedCycle() { t.sessions.gatedCycle() }
 // ReuseSupplied attributes k reuse-pointer-supplied instances to the open
 // session.
 func (t *Tracer) ReuseSupplied(k int) { t.sessions.reuseSupplied(k) }
-
-// FastForward records an analytic skip of `iterations` loop iterations
-// covering `cycles` cycles, and bulk-attributes the gated cycles and
-// reuse-supplied instances the span would have accrued to the open session,
-// keeping session totals reconciled with the machine's global counters
-// (which the fast-forward engine advances by the same amounts).
-func (t *Tracer) FastForward(pc uint32, iterations, cycles, gated, reused uint64) {
-	t.sessions.fastForward(gated, reused)
-	t.Emit(EvFastForward, pc, iterations, cycles)
-}
-
-// IdleSkip records an event-driven skip of `cycles` provably inert cycles
-// ending at the current cycle (the fast-forward engine's second lever). The
-// session audit log needs no adjustment: idle gaps are only skipped outside
-// gated reuse spans.
-func (t *Tracer) IdleSkip(cycles uint64) { t.Emit(EvIdleSkip, 0, cycles, 0) }
 
 // Mispredict records a resolved misprediction squash.
 func (t *Tracer) Mispredict(pc uint32, target uint32, seq uint64) {

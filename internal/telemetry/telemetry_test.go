@@ -566,6 +566,19 @@ func TestAppendEventCanonical(t *testing.T) {
 	}
 }
 
+// TestUnmarshalEventRejectsUnknownKind: a persisted stream naming a kind this
+// build does not know fails with an error. "fast-forward" and "idle-skip"
+// were emitted by the retired fast-forward engine, so older recordings can
+// still carry them.
+func TestUnmarshalEventRejectsUnknownKind(t *testing.T) {
+	for _, kind := range []string{"fast-forward", "idle-skip", "", "?"} {
+		line := `{"cycle":7,"kind":"` + kind + `","a":3}`
+		if e, err := UnmarshalEvent([]byte(line)); err == nil {
+			t.Errorf("UnmarshalEvent(%s) = %+v, want error", line, e)
+		}
+	}
+}
+
 // TestHistogramObserveBucketing pins the bit-scan bucketing to the simple
 // linear-walk definition it replaced: bucket i is the smallest with
 // v <= 1<<i, overflow capped at histBuckets.
