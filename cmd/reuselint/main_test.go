@@ -82,12 +82,12 @@ func TestWaiverBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := map[string]int{
-		"allow-alloc":         9,
+		"allow-alloc":         5,
 		"allow-nondet":        0,
 		"allow-nonexhaustive": 0,
 		"allow-unguarded":     4,
 		"nowire":              0,
-		"transient":           32,
+		"transient":           27,
 	}
 	for name, want := range budget {
 		if got := countWaivers(mod, name); got != want {

@@ -197,6 +197,20 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "reusesim: -flightrec records a single plain run, not -compare or -pipetrace")
 		return 2
 	}
+	if *pipetrace > 0 {
+		// Reject every flag whose output a diagram-only run would drop.
+		ignored := ""
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "compare", "trace", "events", "sessions", "attrib", "stats", "ledger", "listen":
+				ignored = f.Name
+			}
+		})
+		if ignored != "" {
+			fmt.Fprintf(stderr, "reusesim: -pipetrace prints only the pipeline diagram; -%s is not supported with it\n", ignored)
+			return 2
+		}
+	}
 	o := &opts{
 		verify:      *verify,
 		chaosSeed:   *chaosFlag,
@@ -331,14 +345,22 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 		if o.verify {
 			lockstep.Attach(m, p)
 		}
-		rec := trace.New(*pipetrace)
-		m.Rec = rec
+		// The ring would drop the earliest rows of a long trace, so the
+		// lifecycle events are collected through the sink.
+		tel := telemetry.New(telemetry.Config{InstLimit: *pipetrace})
+		var events []telemetry.Event
+		tel.Sink = func(e telemetry.Event) { events = append(events, e) }
+		m.AttachTelemetry(tel)
 		if err := m.Run(); err != nil {
 			fmt.Fprintln(stderr, "reusesim:", err)
 			return 1
 		}
-		rec.Render(stdout)
-		wait, life, n := rec.Stats()
+		recs := trace.Records(events, func(pc uint32) string {
+			in, _ := p.InstAt(pc)
+			return in.Disasm(pc)
+		})
+		trace.Render(stdout, recs)
+		wait, life, n := trace.Stats(recs)
 		fmt.Fprintf(stdout, "recorded %d committed instructions: avg dispatch-to-issue %.1f cycles, avg lifetime %.1f cycles\n", n, wait, life)
 		return 0
 	}

@@ -134,3 +134,56 @@ func TestTelemetryOutputInvariant(t *testing.T) {
 		t.Error("summary output differs between plain and traced runs")
 	}
 }
+
+// The -pipetrace diagram of a reuse-heavy kernel is pinned byte for byte:
+// reused rows ('R'), squashed rows ('x') and the summary line.
+func TestPipetraceGolden(t *testing.T) {
+	stdout, stderr, code := runMain(t, "-kernel", "tsf", "-iq", "32", "-pipetrace", "400")
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr)
+	}
+	path := filepath.Join("testdata", "pipetrace-tsf-iq32-400.golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout != string(want) {
+		t.Errorf("-pipetrace output drifted from %s\ngot:\n%s", path, stdout)
+	}
+}
+
+// -pipetrace prints only the diagram, so every flag whose output it would
+// drop is rejected rather than silently ignored.
+func TestPipetraceRejectsIgnoredFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-compare", []string{"-compare"}},
+		{"-trace", []string{"-trace", filepath.Join(dir, "t.json")}},
+		{"-events", []string{"-events", "-"}},
+		{"-sessions", []string{"-sessions"}},
+		{"-attrib", []string{"-attrib"}},
+		{"-stats", []string{"-stats"}},
+		{"-ledger", []string{"-ledger", filepath.Join(dir, "runs.jsonl")}},
+		{"-listen", []string{"-listen", "127.0.0.1:0"}},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			args := append([]string{"-kernel", "aps", "-pipetrace", "16"}, tc.args...)
+			stdout, stderr, code := runMain(t, args...)
+			if code != 2 {
+				t.Fatalf("exit code %d, want 2", code)
+			}
+			if !strings.Contains(stderr, "-pipetrace") || !strings.Contains(stderr, tc.flag) {
+				t.Errorf("stderr does not name the conflict: %s", stderr)
+			}
+			if stdout != "" {
+				t.Errorf("rejected run wrote to stdout: %s", stdout)
+			}
+		})
+	}
+	if _, err := os.Stat(filepath.Join(dir, "runs.jsonl")); !os.IsNotExist(err) {
+		t.Errorf("rejected -ledger run created the ledger file: %v", err)
+	}
+}

@@ -6,8 +6,8 @@ import (
 )
 
 // Regression tests for the tap call sites the zerocost analyzer flagged:
-// every flag combination that reads m.Rec or m.Tel after the run must reach
-// its output path with the tap actually attached.
+// every flag combination that reads m.Tel after the run must reach its
+// output path with the tap actually attached.
 
 func TestPipetraceFlagRendersRecorder(t *testing.T) {
 	stdout, stderr, code := runMain(t, "-kernel", "aps", "-pipetrace", "32")

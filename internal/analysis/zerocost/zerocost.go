@@ -1,13 +1,13 @@
 // Package zerocost enforces the "zero cost when disabled" contract of the
 // simulator's observability hooks: every call through a struct field marked
 // "//reuse:nilguard" (hook funcs like Machine.OnCommit, tap pointers like
-// Machine.Rec) must be dominated by a nil check of that same field, so a
+// Machine.Tel) must be dominated by a nil check of that same field, so a
 // run with no taps attached never pays for one — and never panics.
 //
 // Dominance is syntactic, the shapes that actually occur in the tree:
 //
-//	if m.Trace != nil { m.Trace(...) }          // guard in the condition
-//	if m.Rec == nil { return }; m.Rec.Cycle()   // early-exit guard
+//	if m.OnCommit != nil { m.OnCommit(c) }            // guard in the condition
+//	if m.Tel == nil { return }; m.Tel.GatedCycle()    // early-exit guard
 //	if m.Tel == nil { ... } else { m.Tel.Emit() }
 //
 // Compound conditions split on && (then-branch) and || (after a terminating

@@ -47,8 +47,6 @@ func (in Inst) String() string { return in.Disasm(0) }
 
 // Disasm renders the instruction as assembler text assuming it is located at
 // address pc (branch targets print as absolute hex addresses).
-//
-//reuse:allow-alloc debug disassembler; hot callers only invoke it under a nil-guarded tap
 func (in Inst) Disasm(pc uint32) string {
 	info := in.Op.Info()
 	switch in.Op {

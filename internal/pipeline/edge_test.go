@@ -7,6 +7,7 @@ import (
 	"reuseiq/internal/asm"
 	"reuseiq/internal/isa"
 	"reuseiq/internal/prog"
+	"reuseiq/internal/telemetry"
 )
 
 // Edge-case and failure-injection tests for the pipeline engine.
@@ -311,17 +312,27 @@ a:	.space 64
 	lw   $r8, 32($r5)
 	halt
 	`)
-	m := New(BaselineConfig(), p)
-	issuedAt := map[string]uint64{}
-	m.DebugIssue = func(_ uint64, _ uint32, desc string) {
-		for _, in := range []string{"sw $r9", "lw $r8"} {
-			if strings.Contains(strings.Join(strings.Fields(desc), " "), in) {
-				issuedAt[in] = m.Cycle()
+	watched := map[uint32]string{}
+	for i, in := range p.Text {
+		pc := prog.Addr(i)
+		d := strings.Join(strings.Fields(in.Disasm(pc)), " ")
+		for _, w := range []string{"sw $r9", "lw $r8"} {
+			if strings.HasPrefix(d, w) {
+				watched[pc] = w
 			}
 		}
 	}
+	m := New(BaselineConfig(), p)
+	tel := telemetry.New(telemetry.Config{})
+	m.AttachTelemetry(tel)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
+	}
+	issuedAt := map[string]uint64{}
+	for _, e := range tel.Events() {
+		if w, ok := watched[e.PC]; ok && e.Kind == telemetry.EvIssue {
+			issuedAt[w] = e.Cycle
+		}
 	}
 	st, ld := issuedAt["sw $r9"], issuedAt["lw $r8"]
 	if st == 0 || ld == 0 {

@@ -28,23 +28,18 @@ func (m *Machine) dispatch() {
 		// (append would otherwise reallocate it every few cycles).
 		n := copy(m.decodeLat, m.decodeLat[1:])
 		m.decodeLat = m.decodeLat[:n]
-		info, promoted := m.dispatchOne(f)
+		promoted := m.dispatchOne(f)
 		m.C.FrontRenames++
-		if m.Rec != nil {
-			m.Rec.OnDispatch(m.nextSeq, f.pc, f.in.Disasm(f.pc), false, m.cycle)
-		}
 		if m.nextSeq < m.telSeq {
 			//reuse:allow-unguarded telSeq is nonzero only after AttachTelemetry caches Tel's cap
 			m.Tel.InstDispatch(m.nextSeq, f.pc, false)
 		}
-		_ = info
 		if promoted {
 			// Code Reuse entered: gate the front end and flush
 			// fetched-but-undispatched instructions; the reuse
 			// pointer re-supplies them (paper §2.3).
 			m.fetchQ = m.fetchQ[:0]
 			m.decodeLat = m.decodeLat[:0]
-			m.tracef("cycle %d: promoted to code reuse, %d buffered", m.cycle, m.IQ.ClassifiedCount())
 			return
 		}
 	}
@@ -74,8 +69,8 @@ func (m *Machine) dispatchResourcesOK(in isa.Inst) bool {
 }
 
 // dispatchOne renames and dispatches one front-end instruction. It returns
-// the controller's decision and whether the queue promoted to Code Reuse.
-func (m *Machine) dispatchOne(f fetched) (core.DispatchInfo, bool) {
+// whether the queue promoted to Code Reuse.
+func (m *Machine) dispatchOne(f fetched) (promoted bool) {
 	info := m.Ctl.OnDispatch(f.pc, f.in, f.predTaken, f.predTarget)
 
 	seq := m.allocSeq()
@@ -124,7 +119,7 @@ func (m *Machine) dispatchOne(f fetched) (core.DispatchInfo, bool) {
 	if _, ok := m.IQ.Dispatch(entry); !ok {
 		panic("pipeline: IQ dispatch after resource check")
 	}
-	return info, info.Promote
+	return info.Promote
 }
 
 // renameInto fills the entry's physical source and destination registers and
@@ -230,9 +225,6 @@ func (m *Machine) reuseDispatch() {
 		m.IQ.PartialUpdate(pos, seq, slot, lsqSlot, srcPhys, srcReady, destPhys)
 		m.C.ReuseRenames++
 		consumed++
-		if m.Rec != nil {
-			m.Rec.OnDispatch(seq, e.PC, in.Disasm(e.PC), true, m.cycle)
-		}
 		if seq < m.telSeq {
 			//reuse:allow-unguarded telSeq is nonzero only after AttachTelemetry caches Tel's cap
 			m.Tel.InstDispatch(seq, e.PC, true)

@@ -16,7 +16,6 @@ import (
 	"reuseiq/internal/rename"
 	"reuseiq/internal/rob"
 	"reuseiq/internal/telemetry"
-	"reuseiq/internal/trace"
 )
 
 // Counters are the pipeline-level activity counters consumed by the power
@@ -139,13 +138,6 @@ type Machine struct {
 	halted     bool
 	lastCommit uint64
 
-	// commitLog, when enabled via LogCommits, records the PC of every
-	// committed instruction (used by differential tests).
-	//reuse:transient debugging capture owned by differential tests, not machine state
-	commitLog []uint32
-	//reuse:transient debugging knob owned by differential tests
-	LogCommits bool
-
 	// Chaos is the fault injector, non-nil when Cfg.Chaos.Enabled. Its
 	// counters record how many faults were actually injected.
 	Chaos *chaos.Injector
@@ -167,23 +159,6 @@ type Machine struct {
 	// hookErr latches the first error returned by OnCommit or OnCycle.
 	//reuse:transient hook plumbing; a machine that latched an error stops and is not snapshotted mid-failure
 	hookErr error
-
-	// DebugIssue, when non-nil, receives a line per issued instruction
-	// (debugging aid for tests).
-	//reuse:nilguard
-	//reuse:transient debugging hook; the host re-attaches it after a restore
-	DebugIssue func(seq uint64, pc uint32, desc string)
-
-	// Trace, when non-nil, receives one line per notable event.
-	//reuse:nilguard
-	//reuse:transient debugging hook; the host re-attaches it after a restore
-	Trace func(format string, args ...any)
-
-	// Rec, when non-nil, records per-instruction pipeline timing for the
-	// first Rec.Max dispatched instructions.
-	//reuse:nilguard
-	//reuse:transient observation capture; the host re-attaches the recorder after a restore
-	Rec *trace.Recorder
 
 	// Tel, when non-nil, receives structured telemetry (RIQ state
 	// transitions, session audit, instruction lifecycles, chaos events).
@@ -268,7 +243,6 @@ func New(cfg Config, p *prog.Program) *Machine {
 		m.execQ = w.execQ[:0]
 		m.done = w.done[:0]
 		m.keys = w.keys[:0]
-		m.commitLog = w.commitLog[:0]
 	} else {
 		m.fetchQ = make([]fetched, 0, cfg.FetchQueueSize)
 		m.decodeLat = make([]fetched, 0, cfg.DecodeWidth)
@@ -286,15 +260,13 @@ type workspace struct {
 	execQ     []execEntry
 	done      []execEntry
 	keys      []uint64
-	commitLog []uint32
 }
 
 var wsPool sync.Pool
 
 // Release returns the machine's scratch buffers to the shared pool for reuse
 // by future machines. Results (counters, architectural state, statistics)
-// stay readable, but the machine must not be stepped afterwards and the
-// commit log is surrendered.
+// stay readable, but the machine must not be stepped afterwards.
 func (m *Machine) Release() {
 	wsPool.Put(&workspace{
 		fetchQ:    m.fetchQ,
@@ -302,11 +274,9 @@ func (m *Machine) Release() {
 		execQ:     m.execQ,
 		done:      m.done,
 		keys:      m.keys,
-		commitLog: m.commitLog,
 	})
 	m.fetchQ, m.decodeLat = nil, nil
 	m.execQ, m.done, m.keys = nil, nil, nil
-	m.commitLog = nil
 }
 
 // Halted reports whether the program's HALT has committed.
@@ -357,7 +327,6 @@ func (m *Machine) Step() {
 		if m.Tel != nil {
 			m.Tel.ChaosRevoke()
 		}
-		m.tracef("cycle %d: chaos revoked buffering", m.cycle)
 	}
 	m.commit()
 	if m.halted || m.hookErr != nil {
@@ -406,10 +375,3 @@ func (m *Machine) ArchInt(n int) int32 { return m.RF.ArchInt(n) }
 
 // ArchFP returns the committed architectural value of FP register n.
 func (m *Machine) ArchFP(n int) float64 { return m.RF.ArchFP(n) }
-
-//reuse:allow-alloc trace formatter; returns immediately when Trace is nil
-func (m *Machine) tracef(format string, args ...any) {
-	if m.Trace != nil {
-		m.Trace(format, args...)
-	}
-}

@@ -6,11 +6,9 @@
 // validation that makes restoring an untrusted image safe.
 //
 // Not part of the image, by design:
-//   - hooks (OnCommit, OnCycle, OnSample, Trace, Rec, Tel, DebugIssue) — the
-//     restoring process re-attaches its own observers;
-//   - the per-cycle scratch buffers (done, keys) — empty between cycles;
-//   - the commit log — observational, unbounded, and reconstructible by
-//     re-running with LogCommits from the start.
+//   - hooks (OnCommit, OnCycle, OnSample, Tel) — the restoring process
+//     re-attaches its own observers;
+//   - the per-cycle scratch buffers (done, keys) — empty between cycles.
 package pipeline
 
 import (

@@ -2,12 +2,10 @@ package pipeline
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 
-	"reuseiq/internal/core"
 	"reuseiq/internal/isa"
 	"reuseiq/internal/lsq"
 	"reuseiq/internal/rob"
@@ -84,12 +82,6 @@ func (m *Machine) commit() {
 		}
 		if h.Reused {
 			m.C.ReusedCommitted++
-		}
-		if m.LogCommits {
-			m.commitLog = append(m.commitLog, h.PC)
-		}
-		if m.Rec != nil {
-			m.Rec.OnCommit(h.Seq, m.cycle)
 		}
 		if m.Tel != nil {
 			if h.Seq < m.telSeq {
@@ -180,9 +172,6 @@ func (m *Machine) writeback() {
 			m.IQ.Wake(r.Dest.Kind, r.NewPhys)
 		}
 		r.Done = true
-		if m.Rec != nil {
-			m.Rec.OnComplete(r.Seq, m.cycle)
-		}
 		if r.Seq < m.telSeq {
 			//reuse:allow-unguarded telSeq is nonzero only after AttachTelemetry caches Tel's cap
 			m.Tel.InstComplete(r.Seq, r.PC)
@@ -214,8 +203,6 @@ func (m *Machine) recover(e *rob.Entry) {
 	if m.Tel != nil {
 		m.Tel.Mispredict(e.PC, e.ActTarget, e.Seq)
 	}
-	m.tracef("cycle %d: mispredict seq=%d pc=0x%x -> 0x%x (state %v)",
-		m.cycle, e.Seq, e.PC, e.ActTarget, m.Ctl.State())
 
 	// Order matters: the controller must clean up classification bits
 	// (removing dead buffered entries) before the seq-based squash.
@@ -226,9 +213,6 @@ func (m *Machine) recover(e *rob.Entry) {
 		en := &removed[i]
 		if en.HasDest {
 			m.RF.Rollback(en.Dest, en.NewPhys, en.OldPhys)
-		}
-		if m.Rec != nil {
-			m.Rec.OnSquash(en.Seq)
 		}
 	}
 	m.IQ.SquashAfter(e.Seq)
@@ -457,12 +441,6 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 		}
 	}
 
-	if m.DebugIssue != nil {
-		m.DebugIssue(e.Seq, e.PC, fmtIssue(e, ops, valI))
-	}
-	if m.Rec != nil {
-		m.Rec.OnIssue(e.Seq, m.cycle)
-	}
 	if e.Seq < m.telSeq {
 		//reuse:allow-unguarded telSeq is nonzero only after AttachTelemetry caches Tel's cap
 		m.Tel.InstIssue(e.Seq, e.PC)
@@ -523,10 +501,4 @@ func (m *Machine) loadFromMemory(op isa.Op, addr uint32) (int32, float64) {
 	}
 	//reuse:allow-alloc not-a-load panic: unreachable for programs the decoder accepts
 	panic("pipeline: not a load: " + op.String())
-}
-
-//reuse:allow-alloc debug issue formatter; called only under the DebugIssue nil guard
-func fmtIssue(e *core.Entry, ops isa.Operands, valI int32) string {
-	return fmt.Sprintf("issue seq=%d pc=0x%x %-24s A=%d B=%d src=%v val=%d",
-		e.Seq, e.PC, e.Inst.Disasm(e.PC), ops.A, ops.B, e.SrcPhys[:e.NumSrc], valI)
 }

@@ -10,39 +10,23 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-// goldenRecorder builds a deterministic scenario exercising every Render
+// goldenRecords is a deterministic scenario exercising every Render
 // feature: a normal instruction, a long-latency one, a reused instance, a
-// squashed instruction, a never-issued one, and a disassembly long enough to
-// be truncated.
-func goldenRecorder() *Recorder {
-	r := New(8)
-	r.OnDispatch(10, 0x400000, "li $r2, 7", false, 100)
-	r.OnIssue(10, 101)
-	r.OnComplete(10, 102)
-	r.OnCommit(10, 103)
-
-	r.OnDispatch(11, 0x400004, "mul $r6, $r2, $r3", false, 100)
-	r.OnIssue(11, 103)
-	r.OnComplete(11, 110)
-	r.OnCommit(11, 111)
-
-	r.OnDispatch(12, 0x400008, "add $r4, $r2, $r3", true, 101)
-	r.OnIssue(12, 102)
-	r.OnComplete(12, 103)
-	r.OnCommit(12, 112)
-
-	r.OnDispatch(13, 0x40000c, "bne $r3, $zero, loop", false, 101)
-	r.OnIssue(13, 104)
-	r.OnSquash(13)
-
-	r.OnDispatch(14, 0x400010, "this disassembly is much too long to fit", false, 102)
-
-	return r
+// squashed instruction, one still in flight when the recording ended, and a
+// disassembly long enough to be truncated.
+func goldenRecords() []InstRecord {
+	return []InstRecord{
+		{Seq: 10, PC: 0x400000, Disasm: "li $r2, 7", Dispatch: 100, Issue: 101, Complete: 102, Commit: 103},
+		{Seq: 11, PC: 0x400004, Disasm: "mul $r6, $r2, $r3", Dispatch: 100, Issue: 103, Complete: 110, Commit: 111},
+		{Seq: 12, PC: 0x400008, Disasm: "add $r4, $r2, $r3", Reused: true, Dispatch: 101, Issue: 102, Complete: 103, Commit: 112},
+		{Seq: 13, PC: 0x40000c, Disasm: "bne $r3, $zero, loop", Dispatch: 101, Issue: 104, Squashed: true},
+		{Seq: 14, PC: 0x400010, Disasm: "this disassembly is much too long to fit", Dispatch: 102},
+	}
 }
 
 func TestRenderGolden(t *testing.T) {
 	var buf bytes.Buffer
-	goldenRecorder().Render(&buf)
+	Render(&buf, goldenRecords())
 
 	path := filepath.Join("testdata", "render.golden")
 	if *update {
@@ -66,7 +50,7 @@ func TestRenderGolden(t *testing.T) {
 func TestRenderGoldenStats(t *testing.T) {
 	// Pin the Stats contract for the same scenario: 3 committed (squashed and
 	// never-committed excluded), waits 1+3+1 = 5, lifetimes 3+11+11 = 25.
-	wait, life, n := goldenRecorder().Stats()
+	wait, life, n := Stats(goldenRecords())
 	if n != 3 {
 		t.Fatalf("committed = %d, want 3", n)
 	}

@@ -1,14 +1,17 @@
-// Package trace records per-instruction pipeline timing (dispatch, issue,
-// completion, commit cycles) and renders a textual pipeline diagram, in the
-// spirit of SimpleScalar's ptrace. It is used for debugging the simulator
-// and for teaching how the reuse mechanism changes instruction flow: reused
-// instances appear with an 'R' marker and no fetch/decode occupancy.
+// Package trace rebuilds per-instruction pipeline timing (dispatch, issue,
+// completion, commit cycles) from telemetry lifecycle events and renders a
+// textual pipeline diagram, in the spirit of SimpleScalar's ptrace. It is
+// used for debugging the simulator and for teaching how the reuse mechanism
+// changes instruction flow: reused instances appear with an 'R' marker and
+// no fetch/decode occupancy.
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
+
+	"reuseiq/internal/telemetry"
 )
 
 // InstRecord is the lifetime of one dynamic instruction.
@@ -24,75 +27,52 @@ type InstRecord struct {
 	Squashed bool
 }
 
-// Recorder collects the first Max instruction records of a run. Sequence
-// numbers are allocated contiguously at dispatch, so records live in a
-// slice indexed by seq minus the first recorded seq — a map would cost a
-// hash and an allocation per lifecycle event. The zero value is unusable;
-// use New.
-type Recorder struct {
-	Max     int
-	base    uint64 // seq of records[0]; valid once len(records) > 0
-	records []InstRecord
-}
-
-// New creates a recorder keeping at most max instructions.
-func New(max int) *Recorder {
-	return &Recorder{Max: max}
-}
-
-// OnDispatch starts a record. Extra calls beyond Max are ignored.
-func (r *Recorder) OnDispatch(seq uint64, pc uint32, disasm string, reused bool, cycle uint64) {
-	if len(r.records) >= r.Max {
-		return
+// Records rebuilds per-instruction records from a telemetry tracer's
+// lifecycle events (dispatch, issue, complete, commit) and mispredict
+// events, in dispatch order; other event kinds are skipped. disasm names the
+// instruction at a PC. Sequence numbers are allocated contiguously at
+// dispatch, so records live in a slice indexed by seq minus the first
+// dispatched seq.
+//
+// The tracer caps lifecycle events at its InstLimit, but its ring may still
+// wrap on a long run: collect the events through Tracer.Sink, not
+// Tracer.Events, when every row matters.
+func Records(events []telemetry.Event, disasm func(pc uint32) string) []InstRecord {
+	var recs []InstRecord
+	at := func(seq uint64) *InstRecord {
+		if len(recs) == 0 || seq < recs[0].Seq || seq-recs[0].Seq >= uint64(len(recs)) {
+			return nil
+		}
+		return &recs[seq-recs[0].Seq]
 	}
-	if len(r.records) == 0 {
-		r.base = seq
-		//reuse:allow-alloc lazy one-time buffer init, capacity capped at Max
-		r.records = make([]InstRecord, 0, r.Max)
+	for _, e := range events {
+		switch e.Kind {
+		case telemetry.EvDispatch:
+			recs = append(recs, InstRecord{Seq: e.A, PC: e.PC, Disasm: disasm(e.PC), Reused: e.B == 1, Dispatch: e.Cycle})
+		case telemetry.EvIssue:
+			if rec := at(e.A); rec != nil {
+				rec.Issue = e.Cycle
+			}
+		case telemetry.EvComplete:
+			if rec := at(e.A); rec != nil {
+				rec.Complete = e.Cycle
+			}
+		case telemetry.EvCommit:
+			if rec := at(e.A); rec != nil {
+				rec.Commit = e.Cycle
+			}
+		case telemetry.EvMispredict:
+			// Recovery squashes everything dispatched after the branch
+			// (B = its seq); none of it can have committed yet. A record
+			// that merely never committed (HALT, or still in flight when
+			// the run ended) is not squashed.
+			for i := len(recs) - 1; i >= 0 && recs[i].Seq > e.B; i-- {
+				recs[i].Squashed = true
+			}
+		default: // other state-machine events carry no per-instruction timing
+		}
 	}
-	r.records = append(r.records, InstRecord{Seq: seq, PC: pc, Disasm: disasm, Reused: reused, Dispatch: cycle})
-}
-
-// at returns the record for seq, or nil if it was never recorded.
-func (r *Recorder) at(seq uint64) *InstRecord {
-	if seq < r.base || seq-r.base >= uint64(len(r.records)) {
-		return nil
-	}
-	rec := &r.records[seq-r.base]
-	if rec.Seq != seq { // defensive: seq allocation stopped being contiguous
-		return nil
-	}
-	return rec
-}
-
-// OnIssue, OnComplete, OnCommit and OnSquash stamp lifecycle events.
-func (r *Recorder) OnIssue(seq, cycle uint64) {
-	if rec := r.at(seq); rec != nil {
-		rec.Issue = cycle
-	}
-}
-
-func (r *Recorder) OnComplete(seq, cycle uint64) {
-	if rec := r.at(seq); rec != nil {
-		rec.Complete = cycle
-	}
-}
-
-func (r *Recorder) OnCommit(seq, cycle uint64) {
-	if rec := r.at(seq); rec != nil {
-		rec.Commit = cycle
-	}
-}
-
-func (r *Recorder) OnSquash(seq uint64) {
-	if rec := r.at(seq); rec != nil {
-		rec.Squashed = true
-	}
-}
-
-// Records returns a copy of the collected records in dispatch order.
-func (r *Recorder) Records() []InstRecord {
-	return append([]InstRecord(nil), r.records...)
+	return recs
 }
 
 // Render writes a pipeline diagram: one row per instruction, one column per
@@ -101,8 +81,7 @@ func (r *Recorder) Records() []InstRecord {
 // instances.
 //
 //reuse:deterministic
-func (r *Recorder) Render(w io.Writer) {
-	recs := r.Records()
+func Render(w io.Writer, recs []InstRecord) {
 	if len(recs) == 0 {
 		fmt.Fprintln(w, "trace: no instructions recorded")
 		return
@@ -110,33 +89,21 @@ func (r *Recorder) Render(w io.Writer) {
 	lo := recs[0].Dispatch
 	hi := lo
 	for _, rec := range recs {
-		for _, c := range []uint64{rec.Dispatch, rec.Issue, rec.Complete, rec.Commit} {
-			if c > hi {
-				hi = c
-			}
-		}
+		hi = max(hi, rec.Dispatch, rec.Issue, rec.Complete, rec.Commit)
 	}
 	if hi-lo > 200 {
 		hi = lo + 200 // keep rows printable
 	}
 	fmt.Fprintf(w, "pipeline trace, cycles %d..%d (D=dispatch I=issue C=complete T=retire)\n", lo, hi)
 	for _, rec := range recs {
-		row := make([]byte, hi-lo+1)
-		for i := range row {
-			row[i] = ' '
-		}
+		row := bytes.Repeat([]byte{' '}, int(hi-lo+1))
 		mark := func(cycle uint64, ch byte) {
 			if cycle >= lo && cycle <= hi {
 				row[cycle-lo] = ch
 			}
 		}
 		// In-flight shading between dispatch and the last known event.
-		last := rec.Dispatch
-		for _, c := range []uint64{rec.Issue, rec.Complete, rec.Commit} {
-			if c > last {
-				last = c
-			}
-		}
+		last := max(rec.Dispatch, rec.Issue, rec.Complete, rec.Commit)
 		for c := rec.Dispatch; c <= last && c <= hi; c++ {
 			row[c-lo] = '='
 		}
@@ -163,9 +130,9 @@ func (r *Recorder) Render(w io.Writer) {
 
 // Stats summarizes recorded latencies: average dispatch-to-issue and
 // dispatch-to-commit cycles over committed instructions.
-func (r *Recorder) Stats() (avgWait, avgLifetime float64, committed int) {
+func Stats(recs []InstRecord) (avgWait, avgLifetime float64, committed int) {
 	var wait, life uint64
-	for _, rec := range r.Records() {
+	for _, rec := range recs {
 		if rec.Commit == 0 || rec.Squashed {
 			continue
 		}
@@ -179,11 +146,6 @@ func (r *Recorder) Stats() (avgWait, avgLifetime float64, committed int) {
 		return 0, 0, 0
 	}
 	return float64(wait) / float64(committed), float64(life) / float64(committed), committed
-}
-
-// SortBySeq normalizes record order (helper for tests).
-func SortBySeq(recs []InstRecord) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 }
 
 func truncate(s string, n int) string {
