@@ -82,7 +82,7 @@ func TestWaiverBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := map[string]int{
-		"allow-alloc":         5,
+		"allow-alloc":         4,
 		"allow-nondet":        0,
 		"allow-nonexhaustive": 0,
 		"allow-unguarded":     4,

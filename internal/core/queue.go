@@ -108,8 +108,8 @@ type Queue struct {
 	classDirty bool
 
 	// readySlots is the select logic's candidate set: valid, unissued
-	// entries with every source ready. Unordered; the pipeline sorts by
-	// sequence number for oldest-first select.
+	// entries with every source ready. Unordered (swap-remove order); the
+	// pipeline orders it by age through the entries' ROB slots.
 	readySlots []int32
 
 	// Wakeup index: one doubly-linked waiter list per physical register,
@@ -253,14 +253,20 @@ func (q *Queue) MarkIssued(slot int) bool {
 }
 
 // olderCount returns the number of live entries ahead of slot in program
-// order — the removed entry's position in the modeled collapsing queue.
-// Issue removes oldest-first, so the walk is almost always empty.
+// order — the removed entry's position in the modeled collapsing queue. It
+// walks toward both ends of the list at once and stops at the nearer one,
+// so the cost is the distance to that end.
 func (q *Queue) olderCount(slot int32) int {
-	n := 0
-	for p := q.st[slot].prev; p >= 0; p = q.st[p].prev {
-		n++
+	older, younger := q.st[slot].prev, q.st[slot].next
+	for n := 0; ; n++ {
+		if older < 0 {
+			return n
+		}
+		if younger < 0 {
+			return q.count - 1 - n
+		}
+		older, younger = q.st[older].prev, q.st[younger].next
 	}
-	return n
 }
 
 // SquashAfter removes all entries with Seq > seq.
@@ -388,8 +394,8 @@ func (q *Queue) Wake(kind isa.RegKind, phys int) {
 
 // ReadySlots returns the current select candidates: slots of valid, unissued
 // entries whose sources are all ready. The slice is unordered (the pipeline
-// sorts by sequence number) and reused across cycles; callers must not
-// retain or mutate it.
+// visits it oldest first by marking each entry's ROB slot) and reused across
+// cycles; callers must not retain or mutate it.
 //
 //reuse:hotpath
 func (q *Queue) ReadySlots() []int32 { return q.readySlots }
@@ -456,20 +462,13 @@ func (q *Queue) removeReady(slot int32) {
 
 // --------------------------------------------------- pending-store index --
 
-// ForEachPendingStore visits the unissued store entries whose LSQ address
-// has not been published yet, in program order, until f returns false. f may
-// resolve the visited slot (StoreResolved) but must not mutate other slots.
-//
-//reuse:hotpath
-func (q *Queue) ForEachPendingStore(f func(slot int) bool) {
-	for slot := q.storeHead; slot >= 0; {
-		n := q.st[slot].sNext
-		if !f(int(slot)) {
-			return
-		}
-		slot = n
-	}
-}
+// FirstPendingStore returns the oldest unissued store entry whose LSQ
+// address has not been published yet, or -1 when there is none.
+func (q *Queue) FirstPendingStore() int { return int(q.storeHead) }
+
+// NextPendingStore returns the pending store after slot in program order, or
+// -1. StoreResolved unlinks slot, so read its successor first.
+func (q *Queue) NextPendingStore(slot int) int { return int(q.st[slot].sNext) }
 
 // StoreResolved removes slot from the pending-store-address list, after the
 // pipeline published its address to the LSQ.

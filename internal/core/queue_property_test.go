@@ -214,10 +214,9 @@ func (l *lockstep) check() {
 		}
 	}
 	var gotStores []uint64
-	q.ForEachPendingStore(func(slot int) bool {
+	for slot := q.FirstPendingStore(); slot >= 0; slot = q.NextPendingStore(slot) {
 		gotStores = append(gotStores, q.Entry(slot).Seq)
-		return true
-	})
+	}
 	if len(gotStores) != len(refStores) {
 		t.Fatalf("pending stores: got %v, ref %v", gotStores, refStores)
 	}
@@ -340,13 +339,8 @@ func TestQueueStoreResolutionLockstep(t *testing.T) {
 			l.ref.Dispatch(e)
 		} else {
 			// Resolve the oldest pending store, as resolveStoreAddresses does.
-			resolved := -1
-			l.q.ForEachPendingStore(func(slot int) bool {
-				l.q.StoreResolved(slot)
-				resolved = slot
-				return false
-			})
-			if resolved >= 0 {
+			if resolved := l.q.FirstPendingStore(); resolved >= 0 {
+				l.q.StoreResolved(resolved)
 				seq := l.q.Entry(resolved).Seq
 				for i := range l.ref.entries {
 					if l.ref.entries[i].Seq == seq {

@@ -98,12 +98,12 @@ func Eval(in Inst, ops Operands) Result {
 		r.I = in.Imm << 16
 
 	case OpLW, OpLB, OpLBU, OpLH, OpLHU, OpLD:
-		r.Addr = uint32(a + in.Imm)
+		r.Addr = EffAddr(in, a)
 	case OpSW, OpSB, OpSH:
-		r.Addr = uint32(a + in.Imm)
+		r.Addr = EffAddr(in, a)
 		r.StoreI = b
 	case OpSD:
-		r.Addr = uint32(a + in.Imm)
+		r.Addr = EffAddr(in, a)
 		r.StoreF = fb
 
 	case OpBEQ:
@@ -168,6 +168,11 @@ func Eval(in Inst, ops Operands) Result {
 	}
 	return r
 }
+
+// EffAddr is the effective address of a load or store whose base register
+// (rs) holds base. Eval uses it for every memory operation; the pipeline
+// calls it directly where only the address is needed.
+func EffAddr(in Inst, base int32) uint32 { return uint32(base + in.Imm) }
 
 func boolToInt(b bool) int32 {
 	if b {

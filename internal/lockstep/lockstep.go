@@ -203,6 +203,13 @@ func (k *Checker) Check() error {
 		if !e.Classified && e.Issued {
 			iqErr = k.violatef(e.Seq, e.Inst.Disasm(e.PC),
 				"unclassified entry %d has its issue state bit set", i)
+			return
+		}
+		// Select orders candidates by ROB slot, so an entry that can
+		// still issue must name the live ROB entry of its own instance.
+		if !e.Issued && !k.robHolds(e.ROBSlot, e.Seq) {
+			iqErr = k.violatef(e.Seq, e.Inst.Disasm(e.PC),
+				"unissued entry %d names ROB slot %d, which does not hold its live instance", i, e.ROBSlot)
 		}
 	})
 	if iqErr != nil {
@@ -241,6 +248,19 @@ func (k *Checker) Check() error {
 		k.prevReuse = false
 	}
 	return nil
+}
+
+// robHolds reports whether ROB slot holds the in-flight entry with seq.
+func (k *Checker) robHolds(slot int, seq uint64) bool {
+	r := k.m.ROB
+	if slot < 0 || slot >= r.Size() {
+		return false
+	}
+	age := slot - r.HeadSlot()
+	if age < 0 {
+		age += r.Size()
+	}
+	return age < r.Len() && r.Get(slot).Seq == seq
 }
 
 // violatef formats an invariant-violation report for a specific instruction.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"reuseiq/internal/asm"
+	"reuseiq/internal/core"
 	"reuseiq/internal/isa"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/progen"
@@ -97,6 +98,44 @@ func TestCheckerCatchesROBCorruption(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "ROB seq not monotonic") {
 		t.Fatalf("ROB corruption not caught: %v", err)
 	}
+}
+
+// Pointing an unissued issue-queue entry at another ROB slot must trip the
+// invariant the age-ordered select rests on.
+func TestCheckerCatchesStaleROBSlot(t *testing.T) {
+	p := asm.MustAssemble(`
+	li   $r3, 200
+l:	mul  $r4, $r3, $r3
+	add  $r5, $r4, $r4
+	addi $r3, $r3, -1
+	bne  $r3, $zero, l
+	halt
+	`)
+	m := pipeline.New(pipeline.DefaultConfig(), p)
+	c := AttachChecker(m)
+	for cycle := 0; cycle < 2000; cycle++ {
+		m.Step()
+		if err := c.Check(); err != nil {
+			t.Fatalf("clean run flagged at cycle %d: %v", cycle, err)
+		}
+		victim := -1
+		m.IQ.Walk(func(slot int, e *core.Entry) {
+			if victim < 0 && !e.Issued {
+				victim = slot
+			}
+		})
+		if victim < 0 {
+			continue
+		}
+		e := m.IQ.Entry(victim)
+		e.ROBSlot = (e.ROBSlot + 1) % m.ROB.Size()
+		err := c.Check()
+		if err == nil || !strings.Contains(err.Error(), "does not hold its live instance") {
+			t.Fatalf("stale ROB slot not caught: %v", err)
+		}
+		return
+	}
+	t.Fatal("no unissued entry to corrupt in 2000 cycles")
 }
 
 // The full paper workloads must verify clean under oracle + checker.

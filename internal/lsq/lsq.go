@@ -6,6 +6,11 @@
 // unknown. Both checks are bounded by age: the store-address gate is one
 // seq, the oldest unresolved store's, and a load's forwarding search walks
 // only the entries older than its own slot.
+//
+// The gate does not rescan what cannot have changed: it keeps a cursor past
+// the prefix of the queue already known to hold no unresolved store. The
+// cursor sits beside the ring, not in Entry, so the snapshot image is
+// unchanged.
 package lsq
 
 // Entry is one in-flight memory operation.
@@ -31,6 +36,13 @@ type LSQ struct {
 	ring  []Entry
 	head  int
 	count int
+
+	// resolved is the length of the prefix, from the head, known to hold
+	// no unresolved store. It grows lazily in OldestUnresolvedStore and
+	// shrinks as entries leave. A live store's address, once known, stays
+	// known, so nothing else can shorten the prefix.
+	//reuse:transient derived from the ring; ImportState resets it
+	resolved int
 
 	Allocs         uint64
 	Searches       uint64 // associative searches by loads
@@ -85,6 +97,9 @@ func (q *LSQ) PopHead() Entry {
 	e := q.ring[q.head]
 	q.head = (q.head + 1) % len(q.ring)
 	q.count--
+	if q.resolved > 0 {
+		q.resolved--
+	}
 	return e
 }
 
@@ -95,10 +110,11 @@ func (q *LSQ) SquashAfter(seq uint64) {
 	for q.count > 0 {
 		tail := (q.head + q.count - 1) % len(q.ring)
 		if q.ring[tail].Seq <= seq {
-			return
+			break
 		}
 		q.count--
 	}
+	q.resolved = min(q.resolved, q.count)
 }
 
 // NoUnresolvedStore is what OldestUnresolvedStore returns when every store
@@ -110,11 +126,16 @@ const NoUnresolvedStore = ^uint64(0)
 // not older than it (conservative disambiguation): some older store is
 // unresolved exactly when the oldest unresolved store is older than the
 // load. The caller charges ConflictStalls for each blocked issue attempt.
+// The scan starts past the prefix already known to be resolved, so over a
+// run each entry is passed about once.
 //
 //reuse:hotpath
 func (q *LSQ) OldestUnresolvedStore() uint64 {
-	i := q.head
-	for k := 0; k < q.count; k++ {
+	i := q.head + q.resolved
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	for ; q.resolved < q.count; q.resolved++ {
 		if e := &q.ring[i]; e.IsStore && !e.AddrReady {
 			return e.Seq
 		}

@@ -199,3 +199,136 @@ func TestStoreGateMatchesSeqScan(t *testing.T) {
 		t.Fatalf("gate mix blocked=%d passed=%d: generator too narrow", blocked, passed)
 	}
 }
+
+// TestChecksMatchScansOverSequences drives a queue through random operation
+// sequences (allocation, address resolution, store data arriving, commit
+// from the head, squash, and a snapshot image imported back in
+// mid-sequence) and checks both memory checks after each step against the
+// reference scans run on a twin queue. The gate's resolved-prefix cursor
+// carries over from step to step, so every way entries leave the queue is
+// exercised against it. The same load is searched again and again, mostly
+// at one access and sometimes at another, and every answer and every
+// Searches, Forwards and ConflictStalls count must match the reference
+// exactly.
+func TestChecksMatchScansOverSequences(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var waits, forwards, fromMem, blocked, imports int
+	for trial := 0; trial < 3000; trial++ {
+		size := 1 + rng.Intn(16)
+		q, ref := New(size), New(size)
+		access := make([][2]uint32, size) // per slot: the load's usual address and size
+		seq := uint64(1 + rng.Intn(100))
+		var saved *State
+		// live picks a random live slot whose entry satisfies ok, or -1.
+		live := func(ok func(e *Entry) bool) int {
+			var slots []int
+			q.Walk(func(slot int, e *Entry) {
+				if ok(e) {
+					slots = append(slots, slot)
+				}
+			})
+			if len(slots) == 0 {
+				return -1
+			}
+			return slots[rng.Intn(len(slots))]
+		}
+		for step := 0; step < 150; step++ {
+			switch op := rng.Intn(16); {
+			case op < 4: // dispatch a memory operation
+				if q.Full() {
+					break
+				}
+				seq += uint64(1 + rng.Intn(3))
+				sz := accessSizes[rng.Intn(len(accessSizes))]
+				e := Entry{Seq: seq, Size: sz, IsFP: sz == 8, IsStore: rng.Intn(2) == 0}
+				slot, _ := q.Alloc(e)
+				ref.Alloc(e)
+				access[slot] = [2]uint32{0x100 + uint32(rng.Intn(24)), uint32(sz)}
+			case op < 6: // a store's address resolves
+				if slot := live(func(e *Entry) bool { return e.IsStore && !e.AddrReady }); slot >= 0 {
+					addr := 0x100 + uint32(rng.Intn(24))
+					// Often at a live load's usual access, so loads forward.
+					sz := uint32(q.Get(slot).Size)
+					l := live(func(e *Entry) bool { return !e.IsStore })
+					if l >= 0 && access[l][1] == sz && rng.Intn(4) != 0 {
+						addr = access[l][0]
+					}
+					for _, x := range []*LSQ{q, ref} {
+						x.Get(slot).AddrReady, x.Get(slot).Addr = true, addr
+					}
+				}
+			case op < 8: // a resolved store's data arrives
+				if slot := live(func(e *Entry) bool { return e.IsStore && e.AddrReady && !e.DataReady }); slot >= 0 {
+					v := rng.Int31()
+					for _, x := range []*LSQ{q, ref} {
+						x.Get(slot).DataReady, x.Get(slot).DataI, x.Get(slot).DataF = true, v, float64(v)
+					}
+				}
+			case op < 9: // the head commits
+				if q.Len() > 0 {
+					q.PopHead()
+					ref.PopHead()
+				}
+			case op < 10: // a mispredict squashes the youngest entries
+				if slot := live(func(*Entry) bool { return true }); slot >= 0 {
+					s := q.Get(slot).Seq
+					q.SquashAfter(s)
+					ref.SquashAfter(s)
+				}
+			case op < 11: // snapshot now, or restore an earlier snapshot
+				if saved == nil || rng.Intn(2) == 0 {
+					st := q.ExportState()
+					saved = &st
+					break
+				}
+				for _, x := range []*LSQ{q, ref} {
+					if err := x.ImportState(*saved); err != nil {
+						t.Fatal(err)
+					}
+				}
+				imports++
+			default: // a load tries to issue: the gate, then the search
+				slot := live(func(e *Entry) bool { return !e.IsStore })
+				if slot < 0 {
+					break
+				}
+				e := q.Get(slot)
+				gated := q.OldestUnresolvedStore() < e.Seq
+				if gated {
+					q.ConflictStalls++
+					blocked++
+				}
+				if want := !refOlderStoreAddrsKnown(ref, e.Seq); gated != want {
+					t.Fatalf("trial %d step %d: load seq %d gated=%v, reference %v\n%+v",
+						trial, step, e.Seq, gated, want, q.ExportState())
+				}
+				addr, size := access[slot][0], uint8(access[slot][1])
+				if rng.Intn(4) == 0 {
+					addr, size = randomAccess(rng, q)
+				}
+				got, gotI, gotF := q.SearchForLoad(slot, addr, size)
+				want, wantI, wantF := refSearchForLoad(ref, e.Seq, addr, size)
+				if got != want || gotI != wantI || gotF != wantF {
+					t.Fatalf("trial %d step %d: load seq %d slot %d access 0x%x/%d: got (%v %d %v), reference (%v %d %v)\n%+v",
+						trial, step, e.Seq, slot, addr, size, got, gotI, gotF, want, wantI, wantF, q.ExportState())
+				}
+				switch got {
+				case Forwarded:
+					forwards++
+				case MustWait:
+					waits++
+				default:
+					fromMem++
+				}
+			}
+			if q.Searches != ref.Searches || q.Forwards != ref.Forwards || q.ConflictStalls != ref.ConflictStalls {
+				t.Fatalf("trial %d step %d: searches/forwards/stalls %d/%d/%d, reference %d/%d/%d", trial, step,
+					q.Searches, q.Forwards, q.ConflictStalls, ref.Searches, ref.Forwards, ref.ConflictStalls)
+			}
+		}
+	}
+	if waits < 1000 || forwards < 1000 || fromMem < 1000 || blocked < 1000 || imports < 1000 {
+		t.Fatalf("mix waits=%d forwards=%d fromMemory=%d blocked=%d imports=%d: generator too narrow",
+			waits, forwards, fromMem, blocked, imports)
+	}
+}

@@ -38,6 +38,7 @@ func (q *LSQ) ImportState(st State) error {
 	}
 	copy(q.ring, st.Ring)
 	q.head, q.count = st.Head, st.Count
+	q.resolved = 0
 	q.Allocs, q.Searches = st.Allocs, st.Searches
 	q.Forwards, q.ConflictStalls = st.Forwards, st.ConflictStalls
 	return nil

@@ -103,6 +103,30 @@ type execEntry struct {
 	valF    float64
 }
 
+// stageScratch is the per-cycle working memory of writeback and issue.
+type stageScratch struct {
+	done []execEntry // completions this cycle
+
+	// ready marks the select candidates by ROB slot, one bit each, and
+	// iqSlot maps a marked ROB slot back to its issue queue slot.
+	ready  []uint64
+	iqSlot []int32
+}
+
+// fit sizes the select bitset and slot map for a ROB of robSize entries,
+// reusing the buffers when they are large enough.
+func (s *stageScratch) fit(robSize int) {
+	words := (robSize + 63) / 64
+	if cap(s.ready) < words {
+		s.ready = make([]uint64, words)
+	}
+	s.ready = s.ready[:words]
+	if cap(s.iqSlot) < robSize {
+		s.iqSlot = make([]int32, robSize)
+	}
+	s.iqSlot = s.iqSlot[:robSize]
+}
+
 // Machine is one simulated processor instance bound to a program.
 type Machine struct {
 	//reuse:transient configuration; the snapshot wire format fingerprints it via ConfigHash and Resume rebuilds from it
@@ -131,10 +155,8 @@ type Machine struct {
 	fetchQ          []fetched
 	decodeLat       []fetched
 	execQ           []execEntry
-	//reuse:transient writeback scratch; never live across a cycle boundary
-	done []execEntry // writeback scratch (completions this cycle)
-	//reuse:transient issue scratch; never live across a cycle boundary
-	keys       []uint64 // issue scratch (sorted ready-candidate select keys)
+	//reuse:transient writeback and issue scratch; never live across a cycle boundary
+	scratch    stageScratch
 	halted     bool
 	lastCommit uint64
 
@@ -241,15 +263,14 @@ func New(cfg Config, p *prog.Program) *Machine {
 		m.fetchQ = w.fetchQ[:0]
 		m.decodeLat = w.decodeLat[:0]
 		m.execQ = w.execQ[:0]
-		m.done = w.done[:0]
-		m.keys = w.keys[:0]
+		m.scratch = w.scratch
 	} else {
 		m.fetchQ = make([]fetched, 0, cfg.FetchQueueSize)
 		m.decodeLat = make([]fetched, 0, cfg.DecodeWidth)
 		m.execQ = make([]execEntry, 0, cfg.IQSize)
-		m.done = make([]execEntry, 0, cfg.IQSize)
-		m.keys = make([]uint64, 0, cfg.IQSize)
+		m.scratch.done = make([]execEntry, 0, cfg.IQSize)
 	}
+	m.scratch.fit(cfg.ROBSize)
 	return m
 }
 
@@ -258,8 +279,7 @@ type workspace struct {
 	fetchQ    []fetched
 	decodeLat []fetched
 	execQ     []execEntry
-	done      []execEntry
-	keys      []uint64
+	scratch   stageScratch
 }
 
 var wsPool sync.Pool
@@ -272,11 +292,10 @@ func (m *Machine) Release() {
 		fetchQ:    m.fetchQ,
 		decodeLat: m.decodeLat,
 		execQ:     m.execQ,
-		done:      m.done,
-		keys:      m.keys,
+		scratch:   m.scratch,
 	})
-	m.fetchQ, m.decodeLat = nil, nil
-	m.execQ, m.done, m.keys = nil, nil, nil
+	m.fetchQ, m.decodeLat, m.execQ = nil, nil, nil
+	m.scratch = stageScratch{}
 }
 
 // Halted reports whether the program's HALT has committed.

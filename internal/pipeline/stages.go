@@ -2,10 +2,10 @@ package pipeline
 
 import (
 	"cmp"
-	"math"
 	"math/bits"
 	"slices"
 
+	"reuseiq/internal/core"
 	"reuseiq/internal/isa"
 	"reuseiq/internal/lsq"
 	"reuseiq/internal/rob"
@@ -133,7 +133,7 @@ func (m *Machine) commitStore() lsq.Entry {
 func (m *Machine) writeback() {
 	// Collect completions for this cycle in program order; older results
 	// must write back (and possibly trigger recovery) before younger ones.
-	done := m.done[:0]
+	done := m.scratch.done[:0]
 	kept := m.execQ[:0]
 	for _, e := range m.execQ {
 		if e.done <= m.cycle {
@@ -143,7 +143,7 @@ func (m *Machine) writeback() {
 		}
 	}
 	m.execQ = kept
-	m.done = done
+	m.scratch.done = done
 	slices.SortFunc(done, func(a, b execEntry) int { return cmp.Compare(a.seq, b.seq) })
 
 	// barrier guards against completions squashed by a recovery triggered
@@ -245,13 +245,6 @@ type storeGate struct {
 	known bool
 }
 
-// keySlotBits is how many low bits of a select key hold the issue-queue
-// slot; the seq sits above them.
-func keySlotBits(iqSize int) uint { return uint(bits.Len(uint(iqSize - 1))) }
-
-// maxKeySeq is the largest seq a select key holds without losing bits.
-func maxKeySeq(iqSize int) uint64 { return math.MaxUint64 >> keySlotBits(iqSize) }
-
 //reuse:hotpath
 func (m *Machine) issue() {
 	// The modeled select logic examines every live entry each cycle; the
@@ -261,34 +254,66 @@ func (m *Machine) issue() {
 
 	m.resolveStoreAddresses()
 
-	// Select ready entries oldest first. Each key packs the candidate's seq
-	// above its slot, and seqs are unique among live entries, so sorting
-	// the keys sorts by seq. Slots are stable, so no position compensation
-	// is needed when an issued entry is removed.
-	shift := keySlotBits(m.Cfg.IQSize)
-	maxSeq := maxKeySeq(m.Cfg.IQSize)
-	keys := m.keys[:0]
+	// Select ready entries oldest first. A ready entry is unissued, so it
+	// names its own in-flight ROB slot, and the ROB ring is in program
+	// order from its head: marking the candidates' ROB slots in a bitset
+	// and scanning the bits from the head visits them by age, with no sort.
+	ready, iqSlot := m.scratch.ready, m.scratch.iqSlot
+	clear(ready)
 	for _, slot := range m.IQ.ReadySlots() {
-		seq := m.IQ.Entry(int(slot)).Seq
-		if seq > maxSeq {
-			panic("pipeline: seq overflows the select key")
-		}
-		keys = append(keys, seq<<shift|uint64(slot))
+		rs := m.IQ.Entry(int(slot)).ROBSlot
+		ready[rs>>6] |= 1 << (rs & 63)
+		iqSlot[rs] = slot
 	}
-	m.keys = keys
-	slices.Sort(keys)
 
 	var gate storeGate
-	mask := uint64(1)<<shift - 1
-	issued := 0
-	for _, k := range keys {
-		if issued >= m.Cfg.IssueWidth {
-			break
+	scan := newAgeScan(ready, m.ROB.HeadSlot())
+	for issued := 0; issued < m.Cfg.IssueWidth; {
+		rs := scan.next()
+		if rs < 0 {
+			return
 		}
-		if m.tryIssueEntry(int(k&mask), &gate) {
+		if m.tryIssueEntry(int(iqSlot[rs]), &gate) {
 			issued++
 		}
 	}
+}
+
+// ageScan visits the set bits of a bitset over ROB slots oldest first: from
+// the head slot to the end of the ring, then from slot 0 up to the head. The
+// head's word is visited twice, first from the head up and last for the
+// slots below it.
+type ageScan struct {
+	ready []uint64
+	wi    int    // current word
+	w     uint64 // current word's unvisited bits
+	below uint64 // the head word's bits below the head
+	left  int    // words still to load after the current one
+}
+
+func newAgeScan(ready []uint64, head int) ageScan {
+	wi, below := head>>6, uint64(1)<<(head&63)-1
+	return ageScan{ready: ready, wi: wi, w: ready[wi] &^ below, below: below, left: len(ready)}
+}
+
+// next returns the next set slot, or -1 when every set bit has been visited.
+func (s *ageScan) next() int {
+	for s.w == 0 {
+		if s.left == 0 {
+			return -1
+		}
+		s.left--
+		if s.wi++; s.wi == len(s.ready) {
+			s.wi = 0
+		}
+		s.w = s.ready[s.wi]
+		if s.left == 0 {
+			s.w &= s.below
+		}
+	}
+	rs := s.wi<<6 | bits.TrailingZeros64(s.w)
+	s.w &= s.w - 1
+	return rs
 }
 
 // resolveStoreAddresses performs store address generation separately from
@@ -301,28 +326,21 @@ func (m *Machine) issue() {
 //reuse:hotpath
 func (m *Machine) resolveStoreAddresses() {
 	resolved := 0
-	//reuse:allow-alloc non-escaping closure: ForEachPendingStore calls f inline and never retains it
-	m.IQ.ForEachPendingStore(func(slot int) bool {
-		if resolved >= m.Cfg.IssueWidth {
-			return false
-		}
+	for slot := m.IQ.FirstPendingStore(); slot >= 0 && resolved < m.Cfg.IssueWidth; {
+		next := m.IQ.NextPendingStore(slot)
 		e := m.IQ.Entry(slot)
 		le := m.LSQ.Get(e.LSQSlot)
-		if le.AddrReady || le.Seq != e.Seq {
+		switch {
+		case le.AddrReady || le.Seq != e.Seq:
 			m.IQ.StoreResolved(slot)
-			return true
+		case e.SrcReady[0]: // the base register is the first source (rs)
+			le.Addr = isa.EffAddr(e.Inst, m.RF.ReadInt(e.SrcPhys[0]))
+			le.AddrReady = true
+			m.IQ.StoreResolved(slot)
+			resolved++
 		}
-		// The base register is the first source (rs).
-		if !e.SrcReady[0] {
-			return true
-		}
-		base := m.RF.ReadInt(e.SrcPhys[0])
-		le.Addr = uint32(base + e.Inst.Imm)
-		le.AddrReady = true
-		m.IQ.StoreResolved(slot)
-		resolved++
-		return true
-	})
+		slot = next
+	}
 }
 
 // tryIssueEntry attempts to issue the queue entry in slot. It reports
@@ -353,33 +371,16 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 		return false
 	}
 
-	// Read operands from the physical register file.
-	ops := isa.Operands{PC: e.PC}
-	info := op.Info()
-	srcIdx := 0
-	if info.ReadsRs {
-		if info.RsFP {
-			ops.FA = m.RF.ReadFP(e.SrcPhys[srcIdx])
-		} else {
-			ops.A = m.RF.ReadInt(e.SrcPhys[srcIdx])
-		}
-		srcIdx++
-	}
-	if info.ReadsRt {
-		if info.RtFP {
-			ops.FB = m.RF.ReadFP(e.SrcPhys[srcIdx])
-		} else {
-			ops.B = m.RF.ReadInt(e.SrcPhys[srcIdx])
-		}
-	}
-	r := isa.Eval(e.Inst, ops)
-
+	var r isa.Result
 	var lat int
 	var valI int32
 	var valF float64
 	switch cls {
 	case isa.ClassLoad:
-		res, dI, dF := m.LSQ.SearchForLoad(e.LSQSlot, r.Addr, memSize(op))
+		// A load needs only its effective address: read its one source,
+		// the base register, and skip the full evaluation.
+		addr := isa.EffAddr(e.Inst, m.RF.ReadInt(e.SrcPhys[0]))
+		res, dI, dF := m.LSQ.SearchForLoad(e.LSQSlot, addr, memSize(op))
 		if res == lsq.MustWait {
 			return false
 		}
@@ -388,16 +389,17 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 		}
 		le := m.LSQ.Get(e.LSQSlot)
 		le.AddrReady = true
-		le.Addr = r.Addr
+		le.Addr = addr
 		le.Done = true
 		if res == lsq.Forwarded {
 			lat = 2 // address generation + bypass
 			valI, valF = applyLoadSemantics(op, dI, dF)
 		} else {
-			lat = 1 + m.Hier.AccessData(r.Addr, false)
-			valI, valF = m.loadFromMemory(op, r.Addr)
+			lat = 1 + m.Hier.AccessData(addr, false)
+			valI, valF = m.loadFromMemory(op, addr)
 		}
 	case isa.ClassStore:
+		r = m.eval(e)
 		if _, ok := m.FUs.TryIssue(op, m.cycle); !ok {
 			return false
 		}
@@ -414,6 +416,7 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 			gate.known = false
 		}
 	default:
+		r = m.eval(e)
 		l, ok := m.FUs.TryIssue(op, m.cycle)
 		if !ok {
 			return false
@@ -452,6 +455,30 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 		valI: valI, valF: valF,
 	})
 	return true
+}
+
+// eval reads the entry's operands from the physical register file and
+// evaluates the instruction.
+func (m *Machine) eval(e *core.Entry) isa.Result {
+	ops := isa.Operands{PC: e.PC}
+	info := e.Inst.Op.Info()
+	srcIdx := 0
+	if info.ReadsRs {
+		if info.RsFP {
+			ops.FA = m.RF.ReadFP(e.SrcPhys[srcIdx])
+		} else {
+			ops.A = m.RF.ReadInt(e.SrcPhys[srcIdx])
+		}
+		srcIdx++
+	}
+	if info.ReadsRt {
+		if info.RtFP {
+			ops.FB = m.RF.ReadFP(e.SrcPhys[srcIdx])
+		} else {
+			ops.B = m.RF.ReadInt(e.SrcPhys[srcIdx])
+		}
+	}
+	return isa.Eval(e.Inst, ops)
 }
 
 func memSize(op isa.Op) uint8 {

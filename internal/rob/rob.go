@@ -98,6 +98,10 @@ func (r *ROB) Head() *Entry {
 	return &r.ring[r.head]
 }
 
+// HeadSlot returns the slot of the oldest entry. Slots run in program order
+// from it, wrapping at the end of the ring.
+func (r *ROB) HeadSlot() int { return r.head }
+
 // PopHead retires the oldest entry.
 func (r *ROB) PopHead() Entry {
 	if r.count == 0 {

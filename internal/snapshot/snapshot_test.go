@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"reuseiq/internal/altfe"
@@ -366,41 +365,45 @@ func TestChaosStreamPositionBound(t *testing.T) {
 	}
 }
 
-// TestSelectKeySeqBound pins the resume-time check behind the select
-// stage's packed keys: an image whose next seq, or a live issue-queue
-// entry's seq, does not fit beside a slot is rejected instead of failing
-// mid-run.
-func TestSelectKeySeqBound(t *testing.T) {
-	cfg, p := tinyConfig(), microloop()
+// TestSeqShiftResume shows that nothing in the machine depends on how large
+// seqs are, only on how they compare: a mid-run image with 1<<62 added to
+// every seq it holds (next seq, ROB, issue queue, LSQ, in-flight
+// executions) resumes and runs to HALT with exactly the counters of the
+// unshifted image.
+func TestSeqShiftResume(t *testing.T) {
+	cfg, p := pipeline.DefaultConfig().WithIQSize(32), kernelProg(t, "aps")
 	m := pipeline.New(cfg, p)
-	if err := m.RunBreakable(300, func() bool { return true }); !errors.Is(err, pipeline.ErrStopped) {
+	if err := m.RunBreakable(2000, func() bool { return true }); !errors.Is(err, pipeline.ErrStopped) {
 		t.Fatalf("expected break, got %v", err)
 	}
-	corrupt := map[string]func(st *pipeline.MachineState) bool{
-		"next seq": func(st *pipeline.MachineState) bool {
-			st.NextSeq = 1 << 62
-			return true
-		},
-		"IQ slot": func(st *pipeline.MachineState) bool {
-			for i := range st.IQ.Slots {
-				if st.IQ.Meta[i].Valid {
-					st.IQ.Slots[i].Seq = 1 << 62
-					return true
-				}
-			}
-			return false
-		},
+	const shift = 1 << 62
+	st := m.Snapshot()
+	st.NextSeq += shift
+	for i := range st.ROB.Ring {
+		st.ROB.Ring[i].Seq += shift
 	}
-	for what, f := range corrupt {
-		st := m.Snapshot()
-		if !f(st) {
-			t.Fatalf("%s: no live entry to corrupt", what)
+	for i := range st.IQ.Slots {
+		st.IQ.Slots[i].Seq += shift
+	}
+	for i := range st.LSQ.Ring {
+		st.LSQ.Ring[i].Seq += shift
+	}
+	for i := range st.ExecQ {
+		st.ExecQ[i].Seq += shift
+	}
+	var runs [2]string
+	for i, img := range []*pipeline.MachineState{m.Snapshot(), st} {
+		r, err := pipeline.Resume(cfg, p, img)
+		if err != nil {
+			t.Fatalf("resume %d: %v", i, err)
 		}
-		if _, err := pipeline.Resume(cfg, p, st); err == nil {
-			t.Fatalf("%s: resume accepted a seq beyond the select-key bound", what)
-		} else if !strings.Contains(err.Error(), what) || !strings.Contains(err.Error(), "select-key bound") {
-			t.Fatalf("%s: got %v, want an error naming it and the select-key bound", what, err)
+		if err := r.Run(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
+		runs[i] = r.StatsSet().String()
+	}
+	if runs[0] != runs[1] {
+		t.Fatalf("shifted seqs changed the run:\nunshifted:\n%s\nshifted:\n%s", runs[0], runs[1])
 	}
 }
 
