@@ -6,7 +6,7 @@
 //	reusebench                  # everything
 //	reusebench -table 1         # one table (1 or 2)
 //	reusebench -figure 5        # one figure (5, 6, 7, 8 or 9)
-//	reusebench -ablation nblt   # one ablation (nblt or strategy)
+//	reusebench -ablation nblt   # one ablation (nblt, nbltsweep, strategy or unroll)
 //	reusebench -extension frontends  # compare vs filter cache / loop cache
 //	reusebench -forcefail adi:64     # sabotage one cell; sweep still completes
 //

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"reuseiq/internal/altfe"
@@ -33,6 +34,8 @@ type FrontEndComparison struct {
 var MechanismNames = [3]string{"filter", "loopcache", "reuse-iq"}
 
 // CompareFrontEnds runs the comparison at the paper's baseline configuration.
+// The baseline and reuse-iq runs are the suite's IQ-64 cells; the filter and
+// loop caches run on the suite's pool, outside its cache.
 func (s *Suite) CompareFrontEnds() (*FrontEndComparison, error) {
 	const iq = 64
 	f := &FrontEndComparison{
@@ -42,95 +45,94 @@ func (s *Suite) CompareFrontEnds() (*FrontEndComparison, error) {
 		EPISave:     map[string][3]float64{},
 		IPCDelta:    map[string][3]float64{},
 	}
-
-	run := func(kernel string, mutate func(*pipeline.Config)) (pipeline.Machine, power.Report, error) {
-		mp, err := s.program(kernel, false)
+	// The prior-art front ends and their own instruction buffers.
+	alts := [2]func(*pipeline.Config){
+		func(c *pipeline.Config) { c.Mem.L0I = mem.DefaultFilterCache() },
+		func(c *pipeline.Config) { c.LoopCache = &altfe.LoopCacheConfig{Entries: 32} },
+	}
+	buffers := [2]power.Component{power.FilterCache, power.LoopCacheBuf}
+	specs := pairSpecs(f.Kernels, iq)
+	if err := s.Prewarm(specs); err != nil {
+		return nil, err
+	}
+	// alt[i] runs kernel i/2 with front end alts[i%2].
+	alt := make([]RunResult, 2*len(f.Kernels))
+	label := func(i int) string { return fmt.Sprintf("%s iq=%d %s", f.Kernels[i/2], iq, MechanismNames[i%2]) }
+	err := s.each(len(alt), label, func(i int) error {
+		mp, err := s.program(f.Kernels[i/2], false)
 		if err != nil {
-			return pipeline.Machine{}, power.Report{}, err
+			return err
 		}
 		cfg := pipeline.BaselineConfig().WithIQSize(iq)
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		m := pipeline.New(cfg, mp)
-		if err := m.Run(); err != nil {
-			return pipeline.Machine{}, power.Report{}, err
-		}
-		return *m, power.Analyze(m), nil
+		alts[i%2](&cfg)
+		alt[i], err = simulate(label(i), cfg, mp)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	n := float64(len(f.Kernels))
-	for _, k := range f.Kernels {
-		baseM, baseR, err := run(k, nil)
-		if err != nil {
-			return nil, err
-		}
-		variants := []func(*pipeline.Config){
-			func(c *pipeline.Config) { c.Mem.L0I = mem.DefaultFilterCache() },
-			func(c *pipeline.Config) { c.LoopCache = &altfe.LoopCacheConfig{Entries: 32} },
-			func(c *pipeline.Config) { c.Reuse.Enabled = true; c.Reuse.NBLTSize = 8 },
-		}
+	nan := math.NaN()
+	for i, k := range f.Kernels {
+		base := s.cached(specs[2*i])
 		var ic, ov, epi, ipc [3]float64
-		for i, mutate := range variants {
-			m, r, err := run(k, mutate)
-			if err != nil {
-				return nil, err
+		for m, r := range [3]RunResult{alt[2*i], alt[2*i+1], s.cached(specs[2*i+1])} {
+			if base.Failed() || r.Failed() {
+				ic[m], ov[m], epi[m], ipc[m] = nan, nan, nan, nan
+				continue
 			}
-			sv := power.Compare(baseR, r)
-			// For the filter cache, the relevant "instruction cache"
-			// saving is L1I + L0 together against the baseline L1I.
-			icSave := sv.Component[power.ICache]
-			if i == 0 {
-				combined := r.PerCycle(power.ICache) + r.PerCycle(power.FilterCache)
-				icSave = 1 - combined/baseR.PerCycle(power.ICache)
+			sv := power.Compare(base.Power, r.Power)
+			ic[m] = sv.Component[power.ICache]
+			if m < len(buffers) {
+				// A prior-art front end's "instruction cache" saving is
+				// L1I plus its own buffer against the baseline L1I.
+				combined := r.Power.PerCycle(power.ICache) + r.Power.PerCycle(buffers[m])
+				ic[m] = 1 - combined/base.Power.PerCycle(power.ICache)
 			}
-			if i == 1 {
-				combined := r.PerCycle(power.ICache) + r.PerCycle(power.LoopCacheBuf)
-				icSave = 1 - combined/baseR.PerCycle(power.ICache)
-			}
-			ic[i] = icSave
-			ov[i] = sv.Overall
-			epi[i] = 1 - r.EPI()/baseR.EPI()
-			ipc[i] = m.IPC()/baseM.IPC() - 1
-			f.AvgICache[i] += icSave / n
-			f.AvgOverall[i] += sv.Overall / n
-			f.AvgEPI[i] += epi[i] / n
-			f.AvgIPC[i] += ipc[i] / n
+			ov[m] = sv.Overall
+			epi[m] = 1 - r.Power.EPI()/base.Power.EPI()
+			ipc[m] = r.IPC/base.IPC - 1
 		}
 		f.ICacheSave[k] = ic
 		f.OverallSave[k] = ov
 		f.EPISave[k] = epi
 		f.IPCDelta[k] = ipc
 	}
+	for m := range MechanismNames {
+		col := func(vals map[string][3]float64) float64 {
+			vs := make([]float64, len(f.Kernels))
+			for i, k := range f.Kernels {
+				vs[i] = vals[k][m]
+			}
+			return mean(vs)
+		}
+		f.AvgICache[m], f.AvgOverall[m] = col(f.ICacheSave), col(f.OverallSave)
+		f.AvgEPI[m], f.AvgIPC[m] = col(f.EPISave), col(f.IPCDelta)
+	}
 	return f, nil
 }
 
 func (f *FrontEndComparison) String() string {
 	var b strings.Builder
+	row := func(name string, v [3]float64) {
+		fmt.Fprintf(&b, "  %-8s  %s  %s  %s\n", name,
+			pct(v[0], "%8.1f%%", 9), pct(v[1], "%8.1f%%", 9), pct(v[2], "%8.1f%%", 9))
+	}
+	table := func(vals map[string][3]float64, avg [3]float64) {
+		for _, k := range f.Kernels {
+			row(k, vals[k])
+		}
+		row("average", avg)
+	}
 	b.WriteString("Extension: reuse issue queue vs prior-art front ends (IQ=64, vs plain baseline)\n")
 	b.WriteString("  icache power savings (incl. the mechanism's own buffer):\n")
 	fmt.Fprintf(&b, "  %-8s  %9s  %9s  %9s\n", "", MechanismNames[0], MechanismNames[1], MechanismNames[2])
-	for _, k := range f.Kernels {
-		v := f.ICacheSave[k]
-		fmt.Fprintf(&b, "  %-8s  %8.1f%%  %8.1f%%  %8.1f%%\n", k, 100*v[0], 100*v[1], 100*v[2])
-	}
-	fmt.Fprintf(&b, "  %-8s  %8.1f%%  %8.1f%%  %8.1f%%\n", "average",
-		100*f.AvgICache[0], 100*f.AvgICache[1], 100*f.AvgICache[2])
+	table(f.ICacheSave, f.AvgICache)
 	b.WriteString("  overall power savings:\n")
-	for _, k := range f.Kernels {
-		v := f.OverallSave[k]
-		fmt.Fprintf(&b, "  %-8s  %8.1f%%  %8.1f%%  %8.1f%%\n", k, 100*v[0], 100*v[1], 100*v[2])
-	}
-	fmt.Fprintf(&b, "  %-8s  %8.1f%%  %8.1f%%  %8.1f%%\n", "average",
-		100*f.AvgOverall[0], 100*f.AvgOverall[1], 100*f.AvgOverall[2])
+	table(f.OverallSave, f.AvgOverall)
 	b.WriteString("  energy-per-instruction savings (fair under slowdowns):\n")
-	for _, k := range f.Kernels {
-		v := f.EPISave[k]
-		fmt.Fprintf(&b, "  %-8s  %8.1f%%  %8.1f%%  %8.1f%%\n", k, 100*v[0], 100*v[1], 100*v[2])
-	}
-	fmt.Fprintf(&b, "  %-8s  %8.1f%%  %8.1f%%  %8.1f%%\n", "average",
-		100*f.AvgEPI[0], 100*f.AvgEPI[1], 100*f.AvgEPI[2])
-	fmt.Fprintf(&b, "  IPC vs baseline (average): %+.2f%%  %+.2f%%  %+.2f%%\n",
-		100*f.AvgIPC[0], 100*f.AvgIPC[1], 100*f.AvgIPC[2])
+	table(f.EPISave, f.AvgEPI)
+	fmt.Fprintf(&b, "  IPC vs baseline (average): %s  %s  %s\n",
+		pct(f.AvgIPC[0], "%+.2f%%", 6), pct(f.AvgIPC[1], "%+.2f%%", 6), pct(f.AvgIPC[2], "%+.2f%%", 6))
 	return b.String()
 }

@@ -10,9 +10,13 @@
 //	Figure 9  overall power reduction, original vs loop-distributed code
 //	A1        NBLT ablation (buffering revoke rates)
 //	A2        single- vs multi-iteration buffering strategy
+//	NBLT      NBLT size sweep (revoke rate and gating vs table entries)
+//	A3        software vs hardware loop unrolling
+//	X1        reuse issue queue vs filter cache and loop cache
 //
-// Runs are cached by configuration, so figures sharing the same simulations
-// (6, 7, 8 share Figure 5's runs) reuse them.
+// Every section simulates on the suite's worker pool. Runs are cached by
+// configuration, so sections sharing the same simulations reuse them (6, 7,
+// 8, A3 and X1 share Figure 5's runs).
 package experiments
 
 import (
@@ -254,6 +258,16 @@ func (sp Spec) key() runKey {
 	return runKey{sp.Kernel, sp.IQSize, sp.Reuse, sp.Distributed, sp.Strategy, nblt}
 }
 
+// config builds the spec's machine configuration. TestSpecConfigMatchesSectionConfigs
+// pins that the IQ-64 cells A3 and X1 read are the machines they compare.
+func (sp Spec) config() pipeline.Config {
+	cfg := pipeline.DefaultConfig().WithIQSize(sp.IQSize)
+	cfg.Reuse.Enabled = sp.Reuse
+	cfg.Reuse.Strategy = sp.Strategy
+	cfg.Reuse.NBLTSize = sp.key().nblt
+	return cfg
+}
+
 // Run executes (or returns the cached result of) one simulation.
 //
 // A simulation abort (watchdog deadlock, cycle budget) does not fail the
@@ -276,10 +290,7 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	cfg := pipeline.DefaultConfig().WithIQSize(sp.IQSize)
-	cfg.Reuse.Enabled = sp.Reuse
-	cfg.Reuse.Strategy = sp.Strategy
-	cfg.Reuse.NBLTSize = k.nblt
+	cfg := sp.config()
 	if s.Sabotage != nil && s.Sabotage(sp) {
 		cfg.MaxCycles = 100
 	}
@@ -410,6 +421,28 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 	return r, nil
 }
 
+// cached returns the result of a spec that a Prewarm has already run.
+func (s *Suite) cached(sp Spec) RunResult {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.results[sp.key()]
+	if !ok {
+		panic("experiments: " + specLabel(sp) + " read before its Prewarm")
+	}
+	return r
+}
+
+// simulate runs one machine outside the suite's cache (A3's unrolled code,
+// X1's alternate front ends) and keeps what those sections read.
+func simulate(label string, cfg pipeline.Config, mp *prog.Program) (RunResult, error) {
+	m := pipeline.New(cfg, mp)
+	defer m.Release()
+	if err := m.Run(); err != nil {
+		return RunResult{}, fmt.Errorf("experiments: %s: %w", label, err)
+	}
+	return RunResult{IPC: m.IPC(), Gated: m.GatedFraction(), Power: power.Analyze(m)}, nil
+}
+
 // UseLedger directs the suite to append a provenance-stamped runstore record
 // for every cell it simulates (cached and journal-replayed cells are not
 // re-recorded — they ran, and were recorded, elsewhere). Pass nil to stop
@@ -467,48 +500,59 @@ func (s *Suite) TotalCycles() uint64 {
 	return n
 }
 
-// Prewarm runs the given specs in parallel, populating the cache. All
-// failures are collected and joined, not just the first.
-func (s *Suite) Prewarm(specs []Spec) error {
+// each calls f(i) for i in [0, n) on at most Parallelism goroutines at once
+// (0 = GOMAXPROCS) and joins the errors. While f(i) runs it counts in
+// sweep.workers_busy and Sweep().Running lists label(i).
+func (s *Suite) each(n int, label func(i int) string, f func(i int) error) error {
 	par := s.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
 	sem := make(chan struct{}, par)
-	errs := make([]error, len(specs))
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	var done int
-	var progressMu sync.Mutex
-	s.specsTotal.Add(uint64(len(specs)))
-	for i, sp := range specs {
+	for i := range n {
 		wg.Add(1)
-		go func(i int, sp Spec) {
+		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			s.workersBusy.Add(1)
-			label := specLabel(sp)
-			s.markRunning(label, true)
-			r, err := s.Run(sp)
-			s.markRunning(label, false)
+			l := label(i)
+			s.markRunning(l, true)
+			errs[i] = f(i)
+			s.markRunning(l, false)
 			s.workersBusy.Add(-1)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s iq=%d reuse=%v: %w", sp.Kernel, sp.IQSize, sp.Reuse, err)
-			}
-			if err != nil || r.Failed() {
-				s.specsFailed.Add(1)
-			}
-			s.specsDone.Add(1)
-			if s.Progress != nil {
-				progressMu.Lock()
-				done++
-				s.Progress(done, len(specs), sp, r)
-				progressMu.Unlock()
-			}
-		}(i, sp)
+		}(i)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// Prewarm runs the given specs in parallel, populating the cache. All
+// failures are collected and joined, not just the first.
+func (s *Suite) Prewarm(specs []Spec) error {
+	var done int
+	var progressMu sync.Mutex
+	s.specsTotal.Add(uint64(len(specs)))
+	return s.each(len(specs), func(i int) string { return specLabel(specs[i]) }, func(i int) error {
+		sp := specs[i]
+		r, err := s.Run(sp)
+		if err != nil {
+			err = fmt.Errorf("%s iq=%d reuse=%v: %w", sp.Kernel, sp.IQSize, sp.Reuse, err)
+		}
+		if err != nil || r.Failed() {
+			s.specsFailed.Add(1)
+		}
+		s.specsDone.Add(1)
+		if s.Progress != nil {
+			progressMu.Lock()
+			done++
+			s.Progress(done, len(specs), sp, r)
+			progressMu.Unlock()
+		}
+		return err
+	})
 }
 
 // sweepSpecs returns the baseline+reuse runs for all kernels over the size

@@ -109,10 +109,7 @@ func (s *Suite) Figure5(sizes []int) (*Fig5, error) {
 	for _, k := range f.Kernels {
 		row := make([]float64, len(sizes))
 		for i, iq := range sizes {
-			r, err := s.Run(Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: -1})
-			if err != nil {
-				return nil, err
-			}
+			r := s.cached(Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: -1})
 			if r.Failed() {
 				row[i] = math.NaN()
 				continue
@@ -174,14 +171,8 @@ func (s *Suite) Figure6(sizes []int) (*Fig6, error) {
 		// completed; a column with none is NaN.
 		n := 0.0
 		for _, k := range names {
-			base, err := s.Run(Spec{Kernel: k, IQSize: iq, Reuse: false, NBLTSize: -1})
-			if err != nil {
-				return nil, err
-			}
-			reuse, err := s.Run(Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: -1})
-			if err != nil {
-				return nil, err
-			}
+			base := s.cached(Spec{Kernel: k, IQSize: iq, Reuse: false, NBLTSize: -1})
+			reuse := s.cached(Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: -1})
 			if base.Failed() || reuse.Failed() {
 				continue
 			}
@@ -244,14 +235,8 @@ func (s *Suite) Figure7(sizes []int) (*Fig7, error) {
 	for _, k := range f.Kernels {
 		row := make([]float64, len(sizes))
 		for i, iq := range sizes {
-			base, err := s.Run(Spec{Kernel: k, IQSize: iq, Reuse: false, NBLTSize: -1})
-			if err != nil {
-				return nil, err
-			}
-			reuse, err := s.Run(Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: -1})
-			if err != nil {
-				return nil, err
-			}
+			base := s.cached(Spec{Kernel: k, IQSize: iq, Reuse: false, NBLTSize: -1})
+			reuse := s.cached(Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: -1})
 			if base.Failed() || reuse.Failed() {
 				row[i] = math.NaN()
 				continue
@@ -306,14 +291,8 @@ func (s *Suite) Figure8(sizes []int) (*Fig8, error) {
 	for _, k := range f.Kernels {
 		row := make([]float64, len(sizes))
 		for i, iq := range sizes {
-			base, err := s.Run(Spec{Kernel: k, IQSize: iq, Reuse: false, NBLTSize: -1})
-			if err != nil {
-				return nil, err
-			}
-			reuse, err := s.Run(Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: -1})
-			if err != nil {
-				return nil, err
-			}
+			base := s.cached(Spec{Kernel: k, IQSize: iq, Reuse: false, NBLTSize: -1})
+			reuse := s.cached(Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: -1})
 			if base.Failed() || reuse.Failed() {
 				row[i] = math.NaN()
 				continue
@@ -379,25 +358,10 @@ func (s *Suite) Figure9() (*Fig9, error) {
 	}
 	n := 0.0
 	for _, k := range f.Kernels {
-		get := func(reuse, dist bool) (RunResult, error) {
-			return s.Run(Spec{Kernel: k, IQSize: iq, Reuse: reuse, Distributed: dist, NBLTSize: -1})
+		get := func(reuse, dist bool) RunResult {
+			return s.cached(Spec{Kernel: k, IQSize: iq, Reuse: reuse, Distributed: dist, NBLTSize: -1})
 		}
-		ob, err := get(false, false)
-		if err != nil {
-			return nil, err
-		}
-		or, err := get(true, false)
-		if err != nil {
-			return nil, err
-		}
-		db, err := get(false, true)
-		if err != nil {
-			return nil, err
-		}
-		dr, err := get(true, true)
-		if err != nil {
-			return nil, err
-		}
+		ob, or, db, dr := get(false, false), get(true, false), get(false, true), get(true, true)
 		if ob.Failed() || or.Failed() || db.Failed() || dr.Failed() {
 			f.Original = append(f.Original, math.NaN())
 			f.Optimized = append(f.Optimized, math.NaN())
@@ -471,14 +435,8 @@ func (s *Suite) AblationNBLT() (*NBLTAblation, error) {
 	}
 	n := 0.0
 	for _, k := range a.Kernels {
-		off, err := s.Run(Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: 0})
-		if err != nil {
-			return nil, err
-		}
-		on, err := s.Run(Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: 8})
-		if err != nil {
-			return nil, err
-		}
+		off := s.cached(Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: 0})
+		on := s.cached(Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: 8})
 		if off.Failed() || on.Failed() {
 			a.RateWithout = append(a.RateWithout, math.NaN())
 			a.RateWith = append(a.RateWith, math.NaN())
@@ -537,14 +495,8 @@ func (s *Suite) AblationStrategy() (*StrategyAblation, error) {
 	}
 	n := 0.0
 	for _, k := range a.Kernels {
-		multi, err := s.Run(Spec{Kernel: k, IQSize: iq, Reuse: true, Strategy: core.StrategyMulti, NBLTSize: -1})
-		if err != nil {
-			return nil, err
-		}
-		single, err := s.Run(Spec{Kernel: k, IQSize: iq, Reuse: true, Strategy: core.StrategySingle, NBLTSize: -1})
-		if err != nil {
-			return nil, err
-		}
+		multi := s.cached(Spec{Kernel: k, IQSize: iq, Reuse: true, Strategy: core.StrategyMulti, NBLTSize: -1})
+		single := s.cached(Spec{Kernel: k, IQSize: iq, Reuse: true, Strategy: core.StrategySingle, NBLTSize: -1})
 		if multi.Failed() || single.Failed() {
 			a.GatedMulti = append(a.GatedMulti, math.NaN())
 			a.GatedSingle = append(a.GatedSingle, math.NaN())

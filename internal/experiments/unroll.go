@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"reuseiq/internal/compiler"
-	"reuseiq/internal/pipeline"
 	"reuseiq/internal/power"
+	"reuseiq/internal/prog"
 	"reuseiq/internal/workloads"
 )
 
@@ -27,45 +29,72 @@ type UnrollAblation struct {
 	AvgSaveOriginal, AvgSaveUnrolled   float64
 }
 
-// AblationUnroll runs the software-unrolling ablation.
+// AblationUnroll runs the software-unrolling ablation. The original code's
+// runs are the suite's IQ-64 cells; the unrolled code runs on the suite's
+// pool, uncached.
 func (s *Suite) AblationUnroll(factor int) (*UnrollAblation, error) {
 	const iq = 64
 	a := &UnrollAblation{Kernels: KernelNames(), Factor: factor}
-	n := float64(len(a.Kernels))
-	for _, kname := range a.Kernels {
-		k, _ := workloads.ByName(kname)
-		for _, unrolled := range []bool{false, true} {
-			ir := k.Prog
-			if unrolled {
-				ir = compiler.Unroll(ir, factor)
-			}
-			mp, _, err := compiler.Compile(ir)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: unroll %s: %w", kname, err)
-			}
-			base := pipeline.New(pipeline.BaselineConfig().WithIQSize(iq), mp)
-			if err := base.Run(); err != nil {
-				return nil, err
-			}
-			reuse := pipeline.New(pipeline.DefaultConfig().WithIQSize(iq), mp)
-			if err := reuse.Run(); err != nil {
-				return nil, err
-			}
-			save := power.Compare(power.Analyze(base), power.Analyze(reuse)).Overall
-			if unrolled {
-				a.GatedUnrolled = append(a.GatedUnrolled, reuse.GatedFraction())
-				a.SaveUnrolled = append(a.SaveUnrolled, save)
-				a.AvgGatedUnrolled += reuse.GatedFraction() / n
-				a.AvgSaveUnrolled += save / n
-			} else {
-				a.GatedOriginal = append(a.GatedOriginal, reuse.GatedFraction())
-				a.SaveOriginal = append(a.SaveOriginal, save)
-				a.AvgGatedOriginal += reuse.GatedFraction() / n
-				a.AvgSaveOriginal += save / n
-			}
+	specs := pairSpecs(a.Kernels, iq)
+	progs := make([]*prog.Program, len(a.Kernels))
+	for i, k := range a.Kernels {
+		w, _ := workloads.ByName(k)
+		mp, _, err := compiler.Compile(compiler.Unroll(w.Prog, factor))
+		if err != nil {
+			return nil, fmt.Errorf("experiments: unroll %s: %w", k, err)
 		}
+		progs[i] = mp
 	}
+	if err := s.Prewarm(specs); err != nil {
+		return nil, err
+	}
+	// unrolled[i] runs specs[i]'s configuration on the unrolled code.
+	unrolled := make([]RunResult, len(specs))
+	label := func(i int) string { return fmt.Sprintf("%s unroll%d", specLabel(specs[i]), factor) }
+	err := s.each(len(specs), label, func(i int) (err error) {
+		unrolled[i], err = simulate(label(i), specs[i].config(), progs[i/2])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range a.Kernels {
+		base, reuse := s.cached(specs[2*i]), s.cached(specs[2*i+1])
+		gated, save := math.NaN(), math.NaN()
+		if !base.Failed() && !reuse.Failed() {
+			gated, save = reuse.Gated, power.Compare(base.Power, reuse.Power).Overall
+		}
+		a.GatedOriginal = append(a.GatedOriginal, gated)
+		a.SaveOriginal = append(a.SaveOriginal, save)
+		a.GatedUnrolled = append(a.GatedUnrolled, unrolled[2*i+1].Gated)
+		a.SaveUnrolled = append(a.SaveUnrolled, power.Compare(unrolled[2*i].Power, unrolled[2*i+1].Power).Overall)
+	}
+	a.AvgGatedOriginal, a.AvgGatedUnrolled = mean(a.GatedOriginal), mean(a.GatedUnrolled)
+	a.AvgSaveOriginal, a.AvgSaveUnrolled = mean(a.SaveOriginal), mean(a.SaveUnrolled)
 	return a, nil
+}
+
+// pairSpecs lists each kernel's baseline and reuse cells at one IQ size.
+func pairSpecs(kernels []string, iq int) []Spec {
+	var specs []Spec
+	for _, k := range kernels {
+		specs = append(specs, Spec{Kernel: k, IQSize: iq, NBLTSize: -1}, Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: -1})
+	}
+	return specs
+}
+
+// mean averages vs as a running sum of v/n, skipping failed (NaN) cells: the
+// arithmetic A3, X1 and the NBLT size sweep were pinned with.
+func mean(vs []float64) float64 {
+	ok := slices.DeleteFunc(slices.Clone(vs), math.IsNaN)
+	if len(ok) == 0 {
+		return math.NaN()
+	}
+	m := 0.0
+	for _, v := range ok {
+		m += v / float64(len(ok))
+	}
+	return m
 }
 
 func (a *UnrollAblation) String() string {
@@ -74,14 +103,15 @@ func (a *UnrollAblation) String() string {
 	fmt.Fprintf(&b, "  %-8s  %11s  %11s  %10s  %10s\n", "",
 		"gated orig", fmt.Sprintf("gated x%d", a.Factor),
 		"save orig", fmt.Sprintf("save x%d", a.Factor))
-	for i, k := range a.Kernels {
-		fmt.Fprintf(&b, "  %-8s  %10.1f%%  %10.1f%%  %9.1f%%  %9.1f%%\n",
-			k, 100*a.GatedOriginal[i], 100*a.GatedUnrolled[i],
-			100*a.SaveOriginal[i], 100*a.SaveUnrolled[i])
+	row := func(name string, gOrig, gUnr, sOrig, sUnr float64) {
+		fmt.Fprintf(&b, "  %-8s  %s  %s  %s  %s\n", name,
+			pct(gOrig, "%10.1f%%", 11), pct(gUnr, "%10.1f%%", 11),
+			pct(sOrig, "%9.1f%%", 10), pct(sUnr, "%9.1f%%", 10))
 	}
-	fmt.Fprintf(&b, "  %-8s  %10.1f%%  %10.1f%%  %9.1f%%  %9.1f%%\n", "average",
-		100*a.AvgGatedOriginal, 100*a.AvgGatedUnrolled,
-		100*a.AvgSaveOriginal, 100*a.AvgSaveUnrolled)
+	for i, k := range a.Kernels {
+		row(k, a.GatedOriginal[i], a.GatedUnrolled[i], a.SaveOriginal[i], a.SaveUnrolled[i])
+	}
+	row("average", a.AvgGatedOriginal, a.AvgGatedUnrolled, a.AvgSaveOriginal, a.AvgSaveUnrolled)
 	return b.String()
 }
 
@@ -94,26 +124,36 @@ type NBLTSizeSweep struct {
 	Gated      []float64
 }
 
-// SweepNBLTSizes runs the NBLT size sweep.
+// SweepNBLTSizes runs the NBLT size sweep. A failed cell is left out of its
+// size's averages.
 func (s *Suite) SweepNBLTSizes(sizes []int) (*NBLTSizeSweep, error) {
 	const iq = 64
 	sw := &NBLTSizeSweep{Sizes: sizes}
 	names := KernelNames()
-	n := float64(len(names))
+	var specs []Spec
 	for _, nblt := range sizes {
-		var rate, gated float64
 		for _, k := range names {
-			r, err := s.Run(Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: nblt})
-			if err != nil {
-				return nil, err
-			}
-			if r.Core.Bufferings > 0 {
-				rate += float64(r.Core.Revokes) / float64(r.Core.Bufferings) / n
-			}
-			gated += r.Gated / n
+			specs = append(specs, Spec{Kernel: k, IQSize: iq, Reuse: true, NBLTSize: nblt})
 		}
-		sw.RevokeRate = append(sw.RevokeRate, rate)
-		sw.Gated = append(sw.Gated, gated)
+	}
+	if err := s.Prewarm(specs); err != nil {
+		return nil, err
+	}
+	n := len(names)
+	for i := range sizes {
+		rate, gated := make([]float64, n), make([]float64, n)
+		for k, sp := range specs[i*n : (i+1)*n] {
+			r := s.cached(sp)
+			if r.Core.Bufferings > 0 {
+				rate[k] = float64(r.Core.Revokes) / float64(r.Core.Bufferings)
+			}
+			gated[k] = r.Gated
+			if r.Failed() {
+				rate[k], gated[k] = math.NaN(), math.NaN()
+			}
+		}
+		sw.RevokeRate = append(sw.RevokeRate, mean(rate))
+		sw.Gated = append(sw.Gated, mean(gated))
 	}
 	return sw, nil
 }
@@ -128,12 +168,12 @@ func (sw *NBLTSizeSweep) String() string {
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "  %-8s", "revoke")
 	for _, v := range sw.RevokeRate {
-		fmt.Fprintf(&b, "  %5.1f%%", 100*v)
+		b.WriteString("  " + pct(v, "%5.1f%%", 6))
 	}
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "  %-8s", "gated")
 	for _, v := range sw.Gated {
-		fmt.Fprintf(&b, "  %5.1f%%", 100*v)
+		b.WriteString("  " + pct(v, "%5.1f%%", 6))
 	}
 	b.WriteString("\n")
 	return b.String()
