@@ -3,9 +3,9 @@
 # suite under the race detector (the experiment harness runs simulations
 # concurrently, so -race is part of the gate, not an extra), emit a valid
 # telemetry trace, and serve a lint-clean live observability surface.
-.PHONY: check build vet lint lint-stats test race fuzz bench bench-baseline bench-all telemetry-check obs-check ckpt-check dbg-check report-check
+.PHONY: check build vet lint lint-stats test race fuzz bench bench-baseline bench-all telemetry-check obs-check ckpt-check report-check
 
-check: build vet lint race telemetry-check obs-check ckpt-check dbg-check report-check
+check: build vet lint race telemetry-check obs-check ckpt-check report-check
 
 build:
 	go build ./...
@@ -35,7 +35,9 @@ race:
 
 # Telemetry gate: run a gating kernel with tracing on and validate the
 # emitted Chrome trace JSON (well-formed, monotone timestamps, balanced
-# begin/end pairs, RIQ state-machine slices present).
+# begin/end pairs, RIQ state-machine slices present); then record the same
+# kernel with the flight recorder, load it cold in reusedbg, export a
+# Perfetto window and validate it as a seekable window.
 telemetry-check:
 	@mkdir -p bench
 	go run ./cmd/reusesim -kernel aps -trace bench/telemetry-check.json > /dev/null
@@ -66,13 +68,6 @@ ckpt-check:
 # go run ./cmd/reportcheck -update).
 report-check:
 	go run -race ./cmd/reportcheck
-
-# Time-travel debugger gate: record a chaos run through the flight recorder,
-# prove randomized seeks land on byte-identical images vs an uninterrupted
-# run, drive every reusedbg command scripted, and validate the exported
-# Perfetto window (see cmd/dbgcheck).
-dbg-check:
-	go run ./cmd/dbgcheck
 
 # Coverage-guided fuzzing of the assembler (see internal/asm/fuzz_test.go)
 # and the snapshot decoder (internal/snapshot/fuzz_test.go). Fully offline:

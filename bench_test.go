@@ -194,10 +194,10 @@ func BenchmarkKernelStep(b *testing.B) {
 }
 
 // BenchmarkFlightRecorder measures what always-on time-travel recording
-// costs: the BenchmarkSimulatorSpeed workload with a flight recorder
-// attached at the default checkpoint interval (on) against the identical
-// bare run (off). The acceptance bar (DESIGN.md §5i) is < 10% overhead on
-// the on/off ratio; benchdiff watches both subtests.
+// costs: the BenchmarkSimulatorSpeed workload with a persisted flight
+// recorder attached (on) against the identical bare run (off). The
+// acceptance bar (DESIGN.md §5i) is < 10% overhead on the on/off ratio;
+// benchdiff watches both subtests.
 func BenchmarkFlightRecorder(b *testing.B) {
 	p := asm.MustAssemble(`
 	li   $r2, 0
@@ -223,7 +223,7 @@ loop:	add  $r2, $r2, $r3
 					if err != nil {
 						b.Fatal(err)
 					}
-					if err := m.RunBreakable(64, rec.Break); err != nil {
+					if err := m.Run(); err != nil {
 						b.Fatal(err)
 					}
 					if err := rec.Finish(); err != nil {

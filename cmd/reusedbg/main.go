@@ -1,9 +1,11 @@
 // Command reusedbg is the time-travel debugger over a flight-recorder
-// directory (reusesim -flightrec <dir>). It restores the nearest retained
-// checkpoint below a target cycle and replays forward cycle-accurately —
-// seeking to ANY cycle inside the recording's seekable window is O(recorder
-// interval) work — then exposes the live machine through dump/diff/watch
-// commands, and the recorded event timeline through why/events/export.
+// directory (reusesim -flightrec <dir>). It rebuilds the machine from the
+// recording's manifest and reaches any cycle in [0, end] by deterministic
+// replay — forward by stepping the live machine, backward by re-running from
+// cycle 0 (a cold seek to the end of btrix at IQ 32, the largest paper
+// cell, replays in about a second) — then exposes the live machine through
+// dump/diff/watch commands, and the recorded event timeline through
+// why/events/export.
 //
 // Usage:
 //
@@ -62,13 +64,14 @@ func mainImpl(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "reusedbg:", err)
 		return 1
 	}
-	d, err := flightrec.NewDebugger(a, stdout)
+	s := flightrec.NewSession(a)
+	s.Verify = !*noVerify
+	d, err := flightrec.NewDebugger(s, stdout)
 	if err != nil {
 		fmt.Fprintln(stderr, "reusedbg:", err)
 		return 1
 	}
 	defer d.Close()
-	d.S.Verify = !*noVerify
 
 	if len(cmds) > 0 {
 		for _, c := range cmds {

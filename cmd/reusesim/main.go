@@ -20,20 +20,14 @@
 //	reusesim -kernel aps -cpuprofile cpu.pprof -memprofile mem.pprof
 //	reusesim -kernel adi -listen 127.0.0.1:8080   # live /metrics /events
 //	                                              # /status /debug/pprof
-//	reusesim -kernel adi -checkpoint s.ckpt -checkpoint-at 50000
-//	reusesim -kernel adi -restore s.ckpt          # continue a checkpointed run
-//	reusesim -kernel adi -max-wall 30s -checkpoint s.ckpt
 //	reusesim -kernel adi -flightrec rec/          # time-travel flight recording;
 //	                                              # debug with reusedbg -dir rec/
 //
-// Exit codes: 0 success, 1 runtime error, 2 flag error, 3 the run was
-// checkpointed (by -checkpoint-at or -max-wall) and stopped before
-// completion; resume it with -restore under the same configuration flags.
+// Exit codes: 0 success, 1 runtime error, 2 flag error.
 package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -53,7 +47,6 @@ import (
 	"reuseiq/internal/power"
 	"reuseiq/internal/prog"
 	"reuseiq/internal/runstore"
-	"reuseiq/internal/snapshot"
 	"reuseiq/internal/telemetry"
 	"reuseiq/internal/trace"
 	"reuseiq/internal/workloads"
@@ -78,22 +71,12 @@ type opts struct {
 	sampleEvery uint64
 	stdout      io.Writer
 	stderr      io.Writer
-	// Checkpoint/restore plumbing: restorePath resumes a saved machine,
-	// ckptPath receives a snapshot when ckptAt (a cycle) or maxWall (a
-	// wall-clock budget) stops the run early.
-	restorePath string
-	ckptPath    string
-	ckptAt      uint64
-	maxWall     time.Duration
 	// Flight recorder: frDir enables recording, frManifest carries the
 	// workload identity reusedbg needs to rebuild the machine.
 	frDir      string
-	frInterval uint64
-	frDepth    int
 	frManifest flightrec.Manifest
 	// ledger, non-nil with -ledger, receives one provenance-stamped record
-	// per completed simulation (both halves of -compare). Checkpoint-stopped
-	// runs are not recorded: their counters are mid-flight, not a result.
+	// per completed simulation (both halves of -compare).
 	ledger     *runstore.Ledger
 	kernelName string
 }
@@ -107,11 +90,6 @@ type simStatus struct {
 	GatedPct float64 `json:"gated_pct"`
 	Sessions int     `json:"sessions"`
 	Halted   bool    `json:"halted"`
-	// The process-wide snapshot image traffic.
-	SnapshotSaves    uint64 `json:"snapshot_saves"`
-	SnapshotRestores uint64 `json:"snapshot_restores"`
-	// TimeTravel mirrors /debug/timetravel when a flight recorder records.
-	TimeTravel *flightrec.Status `json:"timetravel,omitempty"`
 }
 
 // publishSample snapshots the machine's registry (on the simulation
@@ -120,22 +98,16 @@ type simStatus struct {
 func publishSample(srv *obs.Server, m *pipeline.Machine, rec *flightrec.Recorder, final bool) {
 	r := &telemetry.Registry{}
 	m.RegisterMetrics(r)
-	snapshot.RegisterMetrics(r)
-	saves, restores := snapshot.Counters()
 	st := simStatus{
-		Cycle:            m.Cycle(),
-		Commits:          m.C.Commits,
-		IPC:              m.IPC(),
-		RIQState:         m.Ctl.State().String(),
-		GatedPct:         100 * m.GatedFraction(),
-		Halted:           m.Halted(),
-		SnapshotSaves:    saves,
-		SnapshotRestores: restores,
+		Cycle:    m.Cycle(),
+		Commits:  m.C.Commits,
+		IPC:      m.IPC(),
+		RIQState: m.Ctl.State().String(),
+		GatedPct: 100 * m.GatedFraction(),
+		Halted:   m.Halted(),
 	}
 	if rec != nil {
 		rec.RegisterMetrics(r)
-		frs := rec.Status()
-		st.TimeTravel = &frs
 	}
 	if m.Tel != nil {
 		st.Sessions = len(m.Tel.Sessions())
@@ -170,27 +142,9 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 	listen := fs.String("listen", "", "serve live observability (/metrics /events /status /debug/pprof) on this address (port 0 picks one)")
 	linger := fs.Duration("linger", 0, "with -listen, keep serving this long after the run ends")
 	sampleEvery := fs.Uint64("sample-every", 0, "with -listen, cycles between metric samples (0 = default 4096)")
-	checkpoint := fs.String("checkpoint", "", "write a machine snapshot to this file when -checkpoint-at or -max-wall stops the run")
-	checkpointAt := fs.Uint64("checkpoint-at", 0, "stop and checkpoint at this cycle (requires -checkpoint)")
-	restoreFlag := fs.String("restore", "", "resume from a snapshot file (pass the same -iq/-baseline/-chaos flags as the original run)")
-	maxWall := fs.Duration("max-wall", 0, "wall-clock budget: checkpoint (with -checkpoint) and exit with code 3 when exceeded")
 	ledgerPath := fs.String("ledger", "", "append a provenance-stamped run-ledger record (JSONL) for each completed run to this file; query with reusereport")
 	flightrecDir := fs.String("flightrec", "", "record a time-travel flight recording into this directory (seek it afterwards with reusedbg -dir)")
-	flightrecInterval := fs.Uint64("flightrec-interval", 0, "cycles between flight-recorder checkpoints (0 = default)")
-	flightrecDepth := fs.Int("flightrec-depth", 0, "flight-recorder checkpoint ring depth (0 = default)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *checkpointAt > 0 && *checkpoint == "" {
-		fmt.Fprintln(stderr, "reusesim: -checkpoint-at requires -checkpoint")
-		return 2
-	}
-	if *restoreFlag != "" && *verify {
-		fmt.Fprintln(stderr, "reusesim: -restore is incompatible with -verify: the lockstep oracle must observe the run from the program entry")
-		return 2
-	}
-	if (*checkpoint != "" || *restoreFlag != "" || *maxWall > 0) && (*compare || *pipetrace > 0) {
-		fmt.Fprintln(stderr, "reusesim: checkpoint/restore flags apply to a single plain run, not -compare or -pipetrace")
 		return 2
 	}
 	if *flightrecDir != "" && (*compare || *pipetrace > 0) {
@@ -212,20 +166,14 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	o := &opts{
-		verify:      *verify,
-		chaosSeed:   *chaosFlag,
-		telemetry:   *traceOut != "" || *events != "" || *sessionsFlag || *attribFlag || *listen != "",
-		eventsPath:  *events,
-		stdout:      stdout,
-		stderr:      stderr,
-		restorePath: *restoreFlag,
-		ckptPath:    *checkpoint,
-		ckptAt:      *checkpointAt,
-		maxWall:     *maxWall,
-		frDir:       *flightrecDir,
-		frInterval:  *flightrecInterval,
-		frDepth:     *flightrecDepth,
-		kernelName:  *kernel,
+		verify:     *verify,
+		chaosSeed:  *chaosFlag,
+		telemetry:  *traceOut != "" || *events != "" || *sessionsFlag || *attribFlag || *listen != "",
+		eventsPath: *events,
+		stdout:     stdout,
+		stderr:     stderr,
+		frDir:      *flightrecDir,
+		kernelName: *kernel,
 	}
 	if o.kernelName == "" && *asmFile != "" {
 		o.kernelName = filepath.Base(*asmFile)
@@ -315,12 +263,12 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *compare {
-		base, _, err := run(p, *iq, false, o)
+		base, err := run(p, *iq, false, o)
 		if err != nil {
 			fmt.Fprintln(stderr, "reusesim:", err)
 			return 1
 		}
-		reuse, _, err := run(p, *iq, true, o)
+		reuse, err := run(p, *iq, true, o)
 		if err != nil {
 			fmt.Fprintln(stderr, "reusesim:", err)
 			return 1
@@ -365,14 +313,10 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	m, stopped, err := run(p, *iq, !*baseline, o)
+	m, err := run(p, *iq, !*baseline, o)
 	if err != nil {
 		fmt.Fprintln(stderr, "reusesim:", err)
 		return 1
-	}
-	if stopped {
-		fmt.Fprintf(stdout, "checkpointed at cycle %d (%d commits)\n", m.C.Cycles, m.C.Commits)
-		return 3
 	}
 
 	if *traceOut != "" {
@@ -473,30 +417,15 @@ func load(kernel, asmFile string, distribute bool) (*prog.Program, string, error
 	return nil, "", fmt.Errorf("need -kernel or -asm (try -kernel aps)")
 }
 
-// run simulates to completion (or to a checkpoint stop) and returns the
-// machine plus whether the run was stopped early by -checkpoint-at/-max-wall.
-func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, bool, error) {
+// run simulates one configuration to completion and returns the machine.
+func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, error) {
 	start := time.Now()
 	cfg := pipeline.DefaultConfig().WithIQSize(iq)
 	cfg.Reuse.Enabled = reuse
 	if o.chaosSeed != 0 {
 		cfg.Chaos = chaos.DefaultConfig(o.chaosSeed)
 	}
-	var m *pipeline.Machine
-	if o.restorePath != "" {
-		f, err := os.Open(o.restorePath)
-		if err != nil {
-			return nil, false, err
-		}
-		m, err = snapshot.Restore(bufio.NewReader(f), cfg, p)
-		f.Close()
-		if err != nil {
-			return nil, false, fmt.Errorf("restore %s: %w", o.restorePath, err)
-		}
-		fmt.Fprintf(o.stderr, "reusesim: restored %s at cycle %d (%d commits)\n", o.restorePath, m.C.Cycles, m.C.Commits)
-	} else {
-		m = pipeline.New(cfg, p)
-	}
+	m := pipeline.New(cfg, p)
 
 	var flushEvents func() error
 	if o.telemetry || o.eventsPath != "" {
@@ -506,7 +435,7 @@ func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, bool,
 			if o.eventsPath != "-" {
 				f, err := os.Create(o.eventsPath)
 				if err != nil {
-					return nil, false, err
+					return nil, err
 				}
 				bw := bufio.NewWriter(f)
 				w = bw
@@ -535,17 +464,9 @@ func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, bool,
 		man := o.frManifest
 		man.Baseline = !reuse
 		var err error
-		rec, err = flightrec.Attach(m, flightrec.Config{
-			Interval: o.frInterval,
-			Depth:    o.frDepth,
-			Dir:      o.frDir,
-			Manifest: man,
-		})
+		rec, err = flightrec.Attach(m, flightrec.Config{Dir: o.frDir, Manifest: man})
 		if err != nil {
-			return nil, false, err
-		}
-		if o.srv != nil {
-			o.srv.SetTimeTravel(func() any { return rec.Status() })
+			return nil, err
 		}
 	}
 
@@ -560,75 +481,27 @@ func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, bool,
 	if o.verify {
 		orc = lockstep.Attach(m, p)
 	}
-	// finishRec seals the recording; on a crashed run the directory is the
-	// post-mortem artifact, so the run error must not suppress sealing.
-	finishRec := func(crashed bool) error {
-		if rec == nil {
-			return nil
-		}
-		if err := rec.Finish(); err != nil {
-			return fmt.Errorf("flightrec: %w", err)
-		}
-		st := rec.Status()
+	runErr := m.Run()
+	if rec != nil {
+		// Seal the recording even when the run failed: the directory is
+		// then the post-mortem artifact.
 		what := "recording"
-		if crashed {
+		if runErr != nil {
 			what = "post-mortem recording"
 		}
-		fmt.Fprintf(o.stderr, "reusesim: flightrec: %s in %s: %d checkpoints (%d evicted), %d events, seekable cycles [%d, %d]; debug with: reusedbg -dir %s\n",
-			what, o.frDir, st.Checkpoints, st.CheckpointsEvicted, st.EventsRetained,
-			st.SeekableFrom, st.SeekableTo, o.frDir)
-		return nil
+		if err := rec.Finish(); err != nil {
+			err = fmt.Errorf("flightrec: %w", err)
+			if runErr == nil {
+				return nil, err
+			}
+			fmt.Fprintln(o.stderr, "reusesim:", err)
+		} else {
+			fmt.Fprintf(o.stderr, "reusesim: flightrec: %s in %s: %d events, seekable cycles [0, %d]; debug with: reusedbg -dir %s\n",
+				what, o.frDir, rec.EventsTotal(), m.Cycle(), o.frDir)
+		}
 	}
-	stopped := false
-	if o.ckptAt > 0 || o.maxWall > 0 {
-		var deadline time.Time
-		if o.maxWall > 0 {
-			deadline = time.Now().Add(o.maxWall)
-		}
-		// -checkpoint-at wants the exact cycle, so check every cycle; a pure
-		// wall-clock budget only needs a coarse check.
-		every := uint64(4096)
-		if o.ckptAt > 0 {
-			every = 1
-		}
-		err := m.RunBreakable(every, func() bool {
-			if rec != nil {
-				rec.Poll()
-			}
-			if o.ckptAt > 0 && m.Cycle() >= o.ckptAt {
-				return true
-			}
-			return !deadline.IsZero() && time.Now().After(deadline)
-		})
-		switch {
-		case errors.Is(err, pipeline.ErrStopped):
-			stopped = true
-			if o.ckptPath != "" {
-				if err := saveCheckpoint(o.ckptPath, m); err != nil {
-					return nil, false, err
-				}
-				fmt.Fprintf(o.stderr, "reusesim: wrote checkpoint %s at cycle %d; resume with -restore\n", o.ckptPath, m.C.Cycles)
-			} else {
-				fmt.Fprintln(o.stderr, "reusesim: wall-clock budget exceeded; no -checkpoint path given, state discarded")
-			}
-		case err != nil:
-			if ferr := finishRec(true); ferr != nil {
-				fmt.Fprintln(o.stderr, "reusesim:", ferr)
-			}
-			return nil, false, err
-		}
-	} else if rec != nil {
-		if err := m.RunBreakable(64, rec.Break); err != nil {
-			if ferr := finishRec(true); ferr != nil {
-				fmt.Fprintln(o.stderr, "reusesim:", ferr)
-			}
-			return nil, false, err
-		}
-	} else if err := m.Run(); err != nil {
-		return nil, false, err
-	}
-	if err := finishRec(false); err != nil {
-		return nil, false, err
+	if runErr != nil {
+		return nil, runErr
 	}
 	if m.Tel != nil {
 		m.Tel.Finalize(m.Cycle())
@@ -638,18 +511,18 @@ func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, bool,
 	}
 	if flushEvents != nil {
 		if err := flushEvents(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
 	if orc != nil {
 		fmt.Fprintf(o.stdout, "verified: %d commits cross-checked against the golden model\n", orc.Commits)
 	}
-	if m.Chaos != nil && !stopped {
+	if m.Chaos != nil {
 		c := m.Chaos.C
 		fmt.Fprintf(o.stdout, "chaos: %d forced revokes, %d flipped predictions, %d fetch stalls, %d jittered issues\n",
 			c.ForcedRevokes, c.FlippedPredictions, c.FetchStalls, c.JitteredIssues)
 	}
-	if o.ledger != nil && !stopped {
+	if o.ledger != nil {
 		rec := runstore.FromMachine(m)
 		rec.Kind = runstore.KindSim
 		rec.Kernel = o.kernelName
@@ -657,35 +530,9 @@ func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, bool,
 		rec.Verified = o.verify
 		rec.Host.WallNS = time.Since(start).Nanoseconds()
 		if err := o.ledger.Append(&rec); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		fmt.Fprintf(o.stderr, "reusesim: ledger: recorded run %s (%s)\n", rec.ID, rec.Fingerprint)
 	}
-	return m, stopped, nil
-}
-
-// saveCheckpoint writes a snapshot atomically next to its final path.
-func saveCheckpoint(path string, m *pipeline.Machine) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	if err := snapshot.Save(w, m); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return m, nil
 }

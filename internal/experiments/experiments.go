@@ -335,7 +335,7 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 				return aerr
 			}
 		}
-		err := runJournaled(j, k, m, rec)
+		err := runJournaled(j, k, m)
 		if rec != nil {
 			if ferr := rec.Finish(); ferr != nil && err == nil {
 				err = ferr
@@ -471,17 +471,11 @@ func (s *Suite) AttachLedger(path string) (*runstore.Ledger, error) {
 // cycles; a checkpoint write failure is deliberately swallowed — it only
 // costs re-simulation after a crash, while aborting the run would turn a
 // transient I/O hiccup into a lost cell.
-func runJournaled(j *Journal, k runKey, m *pipeline.Machine, rec *flightrec.Recorder) error {
-	switch {
-	case j == nil && rec == nil:
+func runJournaled(j *Journal, k runKey, m *pipeline.Machine) error {
+	if j == nil {
 		return m.Run()
-	case j == nil:
-		return m.RunBreakable(64, rec.Break)
 	}
 	return m.RunBreakable(j.interval(), func() bool {
-		if rec != nil {
-			rec.Poll()
-		}
 		_ = j.checkpoint(k, m)
 		return false
 	})

@@ -1,7 +1,6 @@
 package flightrec
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -22,13 +21,11 @@ import (
 
 // Manifest is the persisted description of a recording: enough workload
 // identity to rebuild the exact machine configuration and program cold, plus
-// the recorder's parameters and final outcome. The config/program hashes let
-// Load verify the reconstruction before trusting any checkpoint image (the
-// images re-verify their own embedded fingerprints on decode).
-//
-// The workload fields mirror the knobs reusesim and the experiment suite
-// actually vary; a manifest built elsewhere can instead be ignored by loading
-// with LoadWith and an explicit config/program.
+// the run's outcome. The config/program hashes let Load verify the
+// reconstruction before any replay trusts it. The workload fields mirror the
+// knobs reusesim and the experiment suite actually vary. Manifests written
+// before seeks became replays also carry "interval" and "depth"; decoding
+// ignores them.
 type Manifest struct {
 	// Workload identity: either a named kernel (optionally distributed) or
 	// inline assembly source.
@@ -45,9 +42,7 @@ type Manifest struct {
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	ChaosSeed int64  `json:"chaos_seed,omitempty"`
 
-	// Recorder parameters and outcome.
-	Interval   uint64 `json:"interval"`
-	Depth      int    `json:"depth"`
+	// Outcome, stamped by Recorder.Finish.
 	FinalCycle uint64 `json:"final_cycle"`
 	Halted     bool   `json:"halted"`
 
@@ -106,10 +101,9 @@ type Archive struct {
 	Man    Manifest
 	Cfg    pipeline.Config
 	Prog   *prog.Program
-	Ckpts  []Checkpoint      // ascending by cycle, at least one
 	Events []telemetry.Event // ascending by cycle (ring order)
 	// End is the last cycle the recording covers: the final simulated cycle
-	// for a completed run, the newest checkpoint/event cycle for a recording
+	// for a completed run, the newest event's cycle for a recording
 	// recovered from a crash.
 	End    uint64
 	Halted bool
@@ -140,14 +134,19 @@ func writeManifest(dir string, man Manifest) error {
 }
 
 // Load opens a persisted recording, rebuilding the machine configuration and
-// program from the manifest. It is deliberately forgiving about the data
-// files — a recording left by a crashed process may have a torn event tail
-// or a half-evicted checkpoint — but strict about identity: fingerprint
-// mismatches are errors, and at least one checkpoint must decode.
+// program from the manifest. It is deliberately forgiving about the event
+// segments — a recording left by a crashed process may have a torn event
+// tail, and one written before seeks became replays may hold checkpoint
+// images, which are ignored — but strict about identity: fingerprint
+// mismatches are errors.
 func Load(dir string) (*Archive, error) {
-	man, err := readManifest(dir)
+	var man Manifest
+	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("flightrec: %w", err)
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		return nil, fmt.Errorf("flightrec: %s: %w", filepath.Join(dir, ManifestName), err)
 	}
 	cfg := man.Config()
 	p, err := man.Program()
@@ -164,64 +163,13 @@ func Load(dir string) (*Archive, error) {
 			return nil, fmt.Errorf("flightrec: %s: rebuilt program hash %s, manifest says %s", dir, got, man.ProgramHash)
 		}
 	}
-	return loadData(dir, man, cfg, p)
-}
-
-// LoadWith opens a persisted recording against an explicit config and
-// program, bypassing manifest reconstruction (for recordings of workloads
-// the manifest vocabulary cannot describe). The checkpoint images still
-// verify their embedded fingerprints against cfg/p.
-func LoadWith(dir string, cfg pipeline.Config, p *prog.Program) (*Archive, error) {
-	man, err := readManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	return loadData(dir, man, cfg, p)
-}
-
-func readManifest(dir string) (Manifest, error) {
-	var man Manifest
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		return man, fmt.Errorf("flightrec: %w", err)
-	}
-	if err := json.Unmarshal(data, &man); err != nil {
-		return man, fmt.Errorf("flightrec: %s: %w", filepath.Join(dir, ManifestName), err)
-	}
-	return man, nil
-}
-
-func loadData(dir string, man Manifest, cfg pipeline.Config, p *prog.Program) (*Archive, error) {
-	a := &Archive{Man: man, Cfg: cfg, Prog: p}
-
-	imgs, err := filepath.Glob(filepath.Join(dir, "ckpt-*.img"))
-	if err != nil {
-		return nil, fmt.Errorf("flightrec: %w", err)
-	}
-	sort.Strings(imgs) // zero-padded cycle in the name → lexical == numeric
-	var firstErr error
-	for _, path := range imgs {
-		st, err := decodeImage(path, cfg, p)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("flightrec: %s: %w", path, err)
-			}
-			continue
-		}
-		a.Ckpts = append(a.Ckpts, Checkpoint{Cycle: st.Cycle, State: st})
-	}
-	if len(a.Ckpts) == 0 {
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return nil, fmt.Errorf("flightrec: %s holds no checkpoint images", dir)
-	}
+	a := &Archive{Man: man, Cfg: cfg, Prog: p, End: man.FinalCycle, Halted: man.Halted}
 
 	segs, err := filepath.Glob(filepath.Join(dir, "events-*.jsonl"))
 	if err != nil {
 		return nil, fmt.Errorf("flightrec: %w", err)
 	}
-	sort.Strings(segs)
+	sort.Strings(segs) // zero-padded ordinal in the name → lexical == recording order
 	for _, path := range segs {
 		evs, err := readSegment(path)
 		if err != nil {
@@ -229,39 +177,13 @@ func loadData(dir string, man Manifest, cfg pipeline.Config, p *prog.Program) (*
 		}
 		a.Events = append(a.Events, evs...)
 	}
-	// Drop events that predate the oldest checkpoint (their segments may be
-	// partially pruned) and enforce the ascending order EventsBetween needs.
-	oldest := a.Ckpts[0].Cycle
-	kept := a.Events[:0]
-	for _, e := range a.Events {
-		if e.Cycle >= oldest {
-			kept = append(kept, e)
-		}
-	}
-	a.Events = kept
 	sort.SliceStable(a.Events, func(i, j int) bool { return a.Events[i].Cycle < a.Events[j].Cycle })
-
-	a.End = man.FinalCycle
-	a.Halted = man.Halted
-	if newest := a.Ckpts[len(a.Ckpts)-1].Cycle; a.End < newest {
+	if n := len(a.Events); n > 0 && a.Events[n-1].Cycle > a.End {
 		// Crashed before Finish: the manifest still says 0. The archive
-		// covers at least the newest checkpoint and any events past it.
-		a.End = newest
-		if n := len(a.Events); n > 0 && a.Events[n-1].Cycle > a.End {
-			a.End = a.Events[n-1].Cycle
-		}
-		a.Halted = a.Ckpts[len(a.Ckpts)-1].State.Halted
+		// covers the run up to its newest event.
+		a.End = a.Events[n-1].Cycle
 	}
 	return a, nil
-}
-
-func decodeImage(path string, cfg pipeline.Config, p *prog.Program) (*pipeline.MachineState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return snapshot.Decode(bufio.NewReader(f), cfg, p)
 }
 
 // readSegment parses one JSONL event segment. A torn trailing line (crash

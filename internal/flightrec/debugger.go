@@ -13,20 +13,19 @@ import (
 )
 
 // Debugger is the scriptable command interpreter shared by the reusedbg
-// REPL, its -e one-shot mode, and the dbgcheck smoke gate. Every command is
-// a line of text; output goes to Out, errors come back from Exec so the
-// caller decides whether to keep the loop alive (REPL) or exit nonzero
-// (script mode).
+// REPL and its -e one-shot mode. Every command is a line of text; output
+// goes to Out, errors come back from Exec so the caller decides whether to
+// keep the loop alive (REPL) or exit nonzero (script mode).
 type Debugger struct {
 	S   *Session
 	Out io.Writer
 }
 
-// NewDebugger opens a session over a and positions the cursor at the
-// oldest seekable cycle, so every command works immediately.
-func NewDebugger(a *Archive, out io.Writer) (*Debugger, error) {
-	s := NewSession(a)
-	if err := s.Seek(a.Ckpts[0].Cycle); err != nil {
+// NewDebugger positions s at cycle 0, so every command works immediately.
+// Set s.Verify before calling: the cursor's machine keeps the checker
+// choice it was built with until a backward seek rebuilds it.
+func NewDebugger(s *Session, out io.Writer) (*Debugger, error) {
+	if err := s.Seek(0); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -74,10 +73,10 @@ func (d *Debugger) Exec(line string) error {
 
 func (d *Debugger) help() {
 	fmt.Fprint(d.Out, `commands:
-  info                      recording bounds, checkpoints, manifest
+  info                      recording bounds, events, manifest
   seek <cycle>              position the cursor (accepts Perfetto ts values)
   step [k]                  advance k cycles (default 1)
-  rstep [k]                 go back k cycles (default 1; restore + replay)
+  rstep [k]                 go back k cycles (default 1; replays from cycle 0)
   dump <what>               `+strings.Join(DumpNames, "|")+`|all
   diff <c1> <c2>            unified diff of full dumps at two cycles
   watch riq                 run until the RIQ controller changes state
@@ -102,11 +101,6 @@ func (d *Debugger) info() error {
 		fmt.Fprintf(d.Out, " (cycles %d..%d)", a.Events[0].Cycle, a.Events[len(a.Events)-1].Cycle)
 	}
 	fmt.Fprintln(d.Out)
-	fmt.Fprintf(d.Out, "ckpts    %d:", len(a.Ckpts))
-	for _, ck := range a.Ckpts {
-		fmt.Fprintf(d.Out, " %d", ck.Cycle)
-	}
-	fmt.Fprintln(d.Out)
 	man := a.Man
 	src := man.Kernel
 	if src == "" && man.AsmSource != "" {
@@ -114,7 +108,7 @@ func (d *Debugger) info() error {
 	}
 	fmt.Fprintf(d.Out, "run      kernel=%s baseline=%v iq=%d chaos-seed=%d\n",
 		src, man.Baseline, man.IQSize, man.ChaosSeed)
-	fmt.Fprintf(d.Out, "session  %d restores, %d cycles replayed\n", d.S.Restores, d.S.Replayed)
+	fmt.Fprintf(d.Out, "session  %d cycles replayed\n", d.S.Replayed)
 	return nil
 }
 
@@ -276,7 +270,7 @@ func (d *Debugger) watchPC(pc uint32) error {
 		return nil
 	}
 	fired, err := d.S.RunUntil(func(*pipeline.Machine) bool { return hit })
-	// The session may have restored a fresh machine; only unhook the one we
+	// The session may have replaced the machine; only unhook the one we
 	// hooked.
 	if cur := d.S.Machine(); cur == m {
 		cur.OnCommit = prev

@@ -13,9 +13,8 @@ import (
 // Component dump renderers. Each renders one microarchitectural structure
 // from a MachineState as stable, line-oriented text: one line per entry or
 // fact, so two dumps diff line-by-line (the debugger's diff command is
-// exactly that). Renderers read only the state image — they never need a
-// live machine, so they work identically on a seeked cursor, a raw
-// checkpoint, or a crash artifact.
+// exactly that). Renderers read only the exported state — they never touch
+// the live machine, so a dump cannot perturb a replay.
 
 // DumpNames lists the valid arguments to Dump, in display order.
 var DumpNames = []string{"machine", "counters", "riq", "iq", "rob", "rename", "lsq", "mem"}

@@ -2,9 +2,11 @@ package flightrec
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -13,11 +15,12 @@ import (
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/prog"
 	"reuseiq/internal/snapshot"
+	"reuseiq/internal/telemetry"
+	"reuseiq/internal/workloads"
 )
 
-// loopSource is a small reuse-heavy loop: long enough to cross many
-// checkpoint intervals at test-sized intervals, busy enough that most cycles
-// sit inside a reuse session.
+// loopSource is a small reuse-heavy loop: long enough for seeks to cross
+// many reuse sessions, busy enough that most cycles sit inside one.
 const loopSource = `
 	li   $r2, 0
 	li   $r3, 20000
@@ -36,8 +39,8 @@ func loopProgram(t *testing.T) *prog.Program {
 	return p
 }
 
-// record runs p to completion under cfg with a recorder attached (checkpoint
-// cadence via RunBreakable) and returns the archive.
+// record runs p to completion under cfg with a recorder attached and
+// returns the archive.
 func record(t *testing.T, cfg pipeline.Config, p *prog.Program, rc Config) *Archive {
 	t.Helper()
 	m := pipeline.New(cfg, p)
@@ -45,7 +48,7 @@ func record(t *testing.T, cfg pipeline.Config, p *prog.Program, rc Config) *Arch
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RunBreakable(64, rec.Break); err != nil {
+	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Finish(); err != nil {
@@ -54,15 +57,40 @@ func record(t *testing.T, cfg pipeline.Config, p *prog.Program, rc Config) *Arch
 	return rec.Archive()
 }
 
-// referenceImages runs a fresh machine cycle-accurately (no recorder) and
-// captures a snapshot image at each target cycle. This is the
-// uninterrupted-run oracle every seek must match byte for byte.
-func referenceImages(t *testing.T, cfg pipeline.Config, p *prog.Program, targets []uint64) map[uint64][]byte {
+// image encodes m's state as a snapshot image: the byte-exact currency the
+// seek-determinism property is stated in.
+func image(t *testing.T, m *pipeline.Machine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := snapshot.Save(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// metrics renders every value m.RegisterMetrics publishes.
+func metrics(m *pipeline.Machine) string {
+	r := &telemetry.Registry{}
+	m.RegisterMetrics(r)
+	return r.Snapshot().String()
+}
+
+// refState is an uninterrupted run's state at one cycle.
+type refState struct {
+	image   []byte
+	metrics string
+}
+
+// reference runs a fresh machine cycle-accurately (no recorder) and
+// captures its state at each target cycle. This is the uninterrupted-run
+// oracle every seek must match.
+func reference(t *testing.T, cfg pipeline.Config, p *prog.Program, targets []uint64) map[uint64]refState {
 	t.Helper()
 	sorted := append([]uint64(nil), targets...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	out := make(map[uint64][]byte, len(sorted))
+	out := make(map[uint64]refState, len(sorted))
 	m := pipeline.New(cfg, p)
+	defer m.Release()
 	for _, n := range sorted {
 		if _, ok := out[n]; ok {
 			continue
@@ -76,55 +104,30 @@ func referenceImages(t *testing.T, cfg pipeline.Config, p *prog.Program, targets
 		if m.Cycle() != n {
 			t.Fatalf("reference run stopped at cycle %d, want %d", m.Cycle(), n)
 		}
-		var buf bytes.Buffer
-		if err := snapshot.Save(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-		out[n] = buf.Bytes()
+		out[n] = refState{image: image(t, m), metrics: metrics(m)}
 	}
 	return out
 }
 
-// seekTargets picks n cycles spread over the archive's seekable range, half
-// uniform, half adversarial (checkpoint boundaries and their neighbors).
-func seekTargets(a *Archive, n int, rng *rand.Rand) []uint64 {
-	from, end := a.Ckpts[0].Cycle, a.End
-	targets := make([]uint64, 0, n)
-	for _, ck := range a.Ckpts {
-		for _, d := range []uint64{0, 1} {
-			if c := ck.Cycle + d; c <= end {
-				targets = append(targets, c)
-			}
-		}
-		if len(targets) >= n/2 {
-			break
-		}
-	}
-	for len(targets) < n {
-		targets = append(targets, from+uint64(rng.Int63n(int64(end-from+1))))
-	}
-	return targets[:n]
-}
-
 // TestSeekDeterminism is the recorder's headline property: seeking to ANY
-// covered cycle — from the nearest checkpoint, from any older checkpoint,
+// covered cycle — forward from the cursor, backward by replay from cycle 0,
 // or twice in a row — lands on a machine whose snapshot image is
 // byte-identical to an uninterrupted cycle-accurate run stopped at that
 // cycle. Exercised under fault injection (chaos), so the replays also prove
-// the injector's PRNG stream survives restore.
+// the injector's PRNG stream replays exactly.
 func TestSeekDeterminism(t *testing.T) {
 	p := loopProgram(t)
 	cfg := pipeline.DefaultConfig()
 	cfg.Chaos = chaos.DefaultConfig(42)
-
-	a := record(t, cfg, p, Config{Interval: 3000, Depth: 64})
-	if len(a.Ckpts) < 5 {
-		t.Fatalf("recording kept only %d checkpoints; want several for cross-checkpoint seeks", len(a.Ckpts))
-	}
+	a := record(t, cfg, p, Config{})
 
 	rng := rand.New(rand.NewSource(1))
-	targets := seekTargets(a, 25, rng)
-	want := referenceImages(t, cfg, p, targets)
+	targets := []uint64{0, 1, a.End - 1, a.End}
+	for len(targets) < 25 {
+		targets = append(targets, uint64(rng.Int63n(int64(a.End+1))))
+	}
+	rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
+	want := reference(t, cfg, p, targets)
 
 	s := NewSession(a)
 	defer s.Close()
@@ -132,95 +135,77 @@ func TestSeekDeterminism(t *testing.T) {
 		if err := s.Seek(n); err != nil {
 			t.Fatalf("seek %d: %v", n, err)
 		}
-		img, err := s.Image()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(img, want[n]) {
-			t.Fatalf("seek %d: image differs from uninterrupted run (len %d vs %d)", n, len(img), len(want[n]))
+		img := image(t, s.Machine())
+		if !bytes.Equal(img, want[n].image) {
+			t.Fatalf("seek %d: image differs from uninterrupted run (len %d vs %d)", n, len(img), len(want[n].image))
 		}
 		// Same seek again must be idempotent at the byte level.
 		if err := s.Seek(n); err != nil {
 			t.Fatalf("re-seek %d: %v", n, err)
 		}
-		img2, err := s.Image()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(img, img2) {
+		if !bytes.Equal(img, image(t, s.Machine())) {
 			t.Fatalf("seek %d twice produced different images", n)
 		}
-	}
-
-	// Cross-checkpoint independence: replaying to one target from every
-	// viable ring entry must converge on the same bytes.
-	n := targets[len(targets)-1]
-	for ci, ck := range a.Ckpts {
-		if ck.Cycle > n {
-			break
-		}
-		if err := s.SeekFrom(ci, n); err != nil {
-			t.Fatalf("seek %d from checkpoint %d (cycle %d): %v", n, ci, ck.Cycle, err)
-		}
-		img, err := s.Image()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(img, want[n]) {
-			t.Fatalf("seek %d from checkpoint %d (cycle %d): image differs from uninterrupted run", n, ci, ck.Cycle)
-		}
-	}
-}
-
-// TestRingEviction: a bounded ring must evict oldest-first, refuse seeks
-// before the retained range, and report honest occupancy.
-func TestRingEviction(t *testing.T) {
-	p := loopProgram(t)
-	cfg := pipeline.DefaultConfig()
-
-	m := pipeline.New(cfg, p)
-	rec, err := Attach(m, Config{Interval: 2000, Depth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RunBreakable(64, rec.Break); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	st := rec.Status()
-	if st.Checkpoints > 3 {
-		t.Fatalf("ring holds %d checkpoints, depth is 3", st.Checkpoints)
-	}
-	if st.CheckpointsEvicted == 0 {
-		t.Fatalf("expected evictions on a long run with depth 3: %+v", st)
-	}
-	if st.CheckpointsTaken != st.CheckpointsEvicted+uint64(st.Checkpoints) {
-		t.Fatalf("taken (%d) != evicted (%d) + retained (%d)", st.CheckpointsTaken, st.CheckpointsEvicted, st.Checkpoints)
-	}
-	if st.SeekableFrom == 0 {
-		t.Fatalf("oldest retained checkpoint should be post-eviction (cycle > 0): %+v", st)
-	}
-
-	a := rec.Archive()
-	s := NewSession(a)
-	defer s.Close()
-	if err := s.Seek(0); err == nil {
-		t.Fatal("seek before the retained ring succeeded; want an error naming the oldest checkpoint")
 	}
 	if err := s.Seek(a.End + 1); err == nil {
 		t.Fatal("seek past the recording end succeeded")
 	}
-	if err := s.Seek(st.SeekableFrom); err != nil {
-		t.Fatalf("seek to the oldest retained checkpoint: %v", err)
+}
+
+// TestSeekEveryKernel: for every paper kernel at IQ 32 with reuse on, seeks
+// forward, back, forward, back to seeded random cycles land on the registry
+// values and snapshot image of an uninterrupted run stopped at the same
+// cycle. The backward seeks are what prove replay from cycle 0: a cursor
+// that stayed put would sit past its target. Skipped under -race: its
+// ~70 CPU-seconds there would add to the slowest race package's run, and
+// TestSeekDeterminism and TestDebuggerSession drive the same seek paths.
+func TestSeekEveryKernel(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("replays every kernel several times")
+	}
+	for i, k := range workloads.All() {
+		t.Run(k.Name, func(t *testing.T) {
+			t.Parallel()
+			man := Manifest{Kernel: k.Name, IQSize: 32}
+			cfg := man.Config()
+			p, err := man.Program()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := record(t, cfg, p, Config{})
+
+			rng := rand.New(rand.NewSource(int64(i + 1)))
+			pick := func(lo, hi uint64) uint64 { return lo + uint64(rng.Int63n(int64(hi-lo+1))) }
+			t1 := pick(1, a.End)
+			t2 := pick(0, t1-1)
+			t3 := pick(t2+1, a.End)
+			t4 := pick(0, t3-1)
+			targets := []uint64{t1, t2, t3, t4}
+			want := reference(t, cfg, p, targets)
+
+			s := NewSession(a)
+			defer s.Close()
+			for _, n := range targets {
+				if err := s.Seek(n); err != nil {
+					t.Fatalf("seek %d: %v", n, err)
+				}
+				if got := s.Cycle(); got != n {
+					t.Fatalf("seek %d landed at cycle %d", n, got)
+				}
+				if got := metrics(s.Machine()); got != want[n].metrics {
+					t.Fatalf("seek %d: registry differs from uninterrupted run\ngot:\n%s\nwant:\n%s", n, got, want[n].metrics)
+				}
+				if !bytes.Equal(image(t, s.Machine()), want[n].image) {
+					t.Fatalf("seek %d: snapshot image differs from uninterrupted run", n)
+				}
+			}
+		})
 	}
 }
 
 // TestDiskRoundtrip: persist a recording, load it cold (config and program
-// rebuilt from the manifest alone), and prove the loaded archive seeks to
-// the same bytes as the live one. Also checks artifact hygiene: bounded
-// file count and evicted images actually deleted.
+// rebuilt from the manifest alone), and prove the loaded archive carries the
+// same events and seeks to the same bytes as the live one.
 func TestDiskRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	p := loopProgram(t)
@@ -228,19 +213,12 @@ func TestDiskRoundtrip(t *testing.T) {
 	cfg.Chaos = chaos.DefaultConfig(7)
 
 	live := record(t, cfg, p, Config{
-		Interval: 3000,
-		Depth:    4,
 		Dir:      dir,
 		Manifest: Manifest{AsmSource: loopSource, ChaosSeed: 7},
 	})
-
-	imgs, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.img"))
-	if len(imgs) == 0 || len(imgs) > 4 {
-		t.Fatalf("persisted %d checkpoint images, want 1..4 (depth)", len(imgs))
-	}
 	segs, _ := filepath.Glob(filepath.Join(dir, "events-*.jsonl"))
-	if len(segs) == 0 || len(segs) > 5 {
-		t.Fatalf("persisted %d event segments, want 1..depth+1", len(segs))
+	if len(segs) != 1 {
+		t.Fatalf("persisted %d event segments, want 1 for a run under %d events", len(segs), DefaultEvents)
 	}
 
 	loaded, err := Load(dir)
@@ -250,110 +228,221 @@ func TestDiskRoundtrip(t *testing.T) {
 	if loaded.End != live.End || loaded.Halted != live.Halted {
 		t.Fatalf("loaded end=%d halted=%v, live end=%d halted=%v", loaded.End, loaded.Halted, live.End, live.Halted)
 	}
-	if len(loaded.Ckpts) != len(live.Ckpts) {
-		t.Fatalf("loaded %d checkpoints, live kept %d", len(loaded.Ckpts), len(live.Ckpts))
+	if !reflect.DeepEqual(loaded.Events, live.Events) {
+		t.Fatalf("loaded %d events, live kept %d, or they differ", len(loaded.Events), len(live.Events))
 	}
 
 	ls, vs := NewSession(loaded), NewSession(live)
 	defer ls.Close()
 	defer vs.Close()
-	for _, n := range []uint64{loaded.Ckpts[0].Cycle, loaded.Ckpts[0].Cycle + 1234, loaded.End} {
+	for _, n := range []uint64{loaded.End / 2, 1234, loaded.End} {
 		if err := ls.Seek(n); err != nil {
 			t.Fatalf("loaded seek %d: %v", n, err)
 		}
 		if err := vs.Seek(n); err != nil {
 			t.Fatalf("live seek %d: %v", n, err)
 		}
-		li, err := ls.Image()
-		if err != nil {
-			t.Fatal(err)
-		}
-		vi, err := vs.Image()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(li, vi) {
+		if !bytes.Equal(image(t, ls.Machine()), image(t, vs.Machine())) {
 			t.Fatalf("cycle %d: loaded archive and live archive disagree", n)
 		}
 	}
 }
 
-// TestCrashArtifact: a recording directory abandoned without Finish (the
-// crash case) must still load — torn event tail tolerated, end derived from
-// the newest surviving checkpoint.
-func TestCrashArtifact(t *testing.T) {
+// TestSegmentRotation: segments rotate every DefaultEvents lines and only
+// the newest two stay, which still hold every event the in-memory ring
+// retains.
+func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	p := loopProgram(t)
-	cfg := pipeline.DefaultConfig()
-
-	m := pipeline.New(cfg, p)
-	rec, err := Attach(m, Config{Interval: 3000, Depth: 4, Dir: dir, Manifest: Manifest{AsmSource: loopSource}})
+	m := pipeline.New(pipeline.DefaultConfig(), loopProgram(t))
+	defer m.Release()
+	rec, err := Attach(m, Config{Dir: dir, Manifest: Manifest{AsmSource: loopSource}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stopAt := uint64(10_000)
-	err = m.RunBreakable(64, func() bool { rec.Poll(); return m.Cycle() >= stopAt })
-	if err != pipeline.ErrStopped {
-		t.Fatalf("run: %v", err)
+	sink := m.Tel.Sink
+	const total = 2*DefaultEvents + 100
+	for i := range total {
+		sink(telemetry.Event{Cycle: uint64(i), Kind: telemetry.EvBuffer, PC: 0x40})
 	}
-	// No Finish: simulate a crash, including a torn trailing event line.
+	if err := rec.Finish(); err != nil {
+		t.Fatal(err)
+	}
 	segs, _ := filepath.Glob(filepath.Join(dir, "events-*.jsonl"))
-	if len(segs) == 0 {
-		t.Fatal("no event segments on disk")
+	if len(segs) != 2 {
+		t.Fatalf("%d event segments on disk, want the newest 2", len(segs))
 	}
-	sort.Strings(segs)
-	last := segs[len(segs)-1]
-	f, err := os.OpenFile(last, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"cycle":99999,"kind":"comm`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
 	a, err := Load(dir)
 	if err != nil {
-		t.Fatalf("loading a crash artifact: %v", err)
+		t.Fatal(err)
 	}
-	newest := a.Ckpts[len(a.Ckpts)-1].Cycle
-	if a.End < newest {
-		t.Fatalf("end %d precedes newest checkpoint %d", a.End, newest)
+	if len(a.Events) != DefaultEvents+100 {
+		t.Fatalf("loaded %d events, want %d", len(a.Events), DefaultEvents+100)
 	}
-	s := NewSession(a)
-	defer s.Close()
-	if err := s.Seek(newest); err != nil {
-		t.Fatalf("seek newest checkpoint of crash artifact: %v", err)
+	if !reflect.DeepEqual(a.Events[100:], rec.Events()) {
+		t.Fatal("the newest segments do not hold the in-memory ring's events")
 	}
 }
 
-// TestStepAndRStep: forward stepping replays in place (no restore); reverse
-// stepping restores and lands on the identical image the forward pass saw.
+// TestCrashArtifact: a recording directory abandoned without Finish (the
+// crash case) must still load — torn event tail tolerated, end derived from
+// the newest event — and seek to its end. A directory holding only the
+// manifest and a torn segment is the degenerate case.
+func TestCrashArtifact(t *testing.T) {
+	p := loopProgram(t)
+	cfg := pipeline.DefaultConfig()
+	cfg.Chaos = chaos.DefaultConfig(11)
+	man := Manifest{AsmSource: loopSource, ChaosSeed: 11}
+	const stopAt = 20_000
+
+	tearLastSegment := func(dir string) {
+		t.Helper()
+		segs, _ := filepath.Glob(filepath.Join(dir, "events-*.jsonl"))
+		if len(segs) == 0 {
+			t.Fatal("no event segments on disk")
+		}
+		sort.Strings(segs)
+		f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(`{"cycle":99999,"kind":"comm`); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+
+	t.Run("events", func(t *testing.T) {
+		dir := t.TempDir()
+		m := pipeline.New(cfg, p)
+		defer m.Release()
+		if _, err := Attach(m, Config{Dir: dir, Manifest: man}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RunBreakable(64, func() bool { return m.Cycle() >= stopAt }); err != pipeline.ErrStopped {
+			t.Fatalf("run: %v", err)
+		}
+		// No Finish: the segment holds what its buffer flushed, usually
+		// ending mid-line, plus an explicitly torn line.
+		tearLastSegment(dir)
+
+		a, err := Load(dir)
+		if err != nil {
+			t.Fatalf("loading a crash artifact: %v", err)
+		}
+		if len(a.Events) == 0 {
+			t.Fatal("crash artifact loaded no events; the run should have flushed some")
+		}
+		if a.End != a.Events[len(a.Events)-1].Cycle || a.End > stopAt {
+			t.Fatalf("end %d: want the newest event's cycle %d, at most %d", a.End, a.Events[len(a.Events)-1].Cycle, stopAt)
+		}
+		want := reference(t, cfg, p, []uint64{a.End})
+		s := NewSession(a)
+		defer s.Close()
+		if err := s.Seek(a.End); err != nil {
+			t.Fatalf("seek the end of a crash artifact: %v", err)
+		}
+		if !bytes.Equal(image(t, s.Machine()), want[a.End].image) {
+			t.Fatal("crash artifact's end differs from an uninterrupted run")
+		}
+	})
+
+	t.Run("manifest only", func(t *testing.T) {
+		dir := t.TempDir()
+		m := pipeline.New(cfg, p)
+		defer m.Release()
+		if _, err := Attach(m, Config{Dir: dir, Manifest: man}); err != nil {
+			t.Fatal(err)
+		}
+		tearLastSegment(dir)
+		a, err := Load(dir)
+		if err != nil {
+			t.Fatalf("loading a crash artifact: %v", err)
+		}
+		if a.End != 0 || len(a.Events) != 0 {
+			t.Fatalf("end %d with %d events, want 0 and none", a.End, len(a.Events))
+		}
+		s := NewSession(a)
+		defer s.Close()
+		if err := s.Seek(a.End); err != nil {
+			t.Fatalf("seek the end of a crash artifact: %v", err)
+		}
+	})
+}
+
+// TestOldFormatArtifact: a recording written when seeks restored checkpoint
+// images — a manifest with "interval" and "depth", plus ckpt-*.img files —
+// still loads, ignoring the images, and seeks by replay.
+func TestOldFormatArtifact(t *testing.T) {
+	dir := t.TempDir()
+	p := loopProgram(t)
+	cfg := pipeline.DefaultConfig()
+	live := record(t, cfg, p, Config{Dir: dir, Manifest: Manifest{AsmSource: loopSource}})
+
+	path := filepath.Join(dir, ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["interval"], fields["depth"] = 65536, 8
+	if data, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ckpt-00000000000000000000.img", "ckpt-00000000000000065536.img"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("REUSEIQS stale image"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	a, err := Load(dir)
+	if err != nil {
+		t.Fatalf("loading an old-format recording: %v", err)
+	}
+	if a.End != live.End || len(a.Events) != len(live.Events) {
+		t.Fatalf("loaded end=%d with %d events, live end=%d with %d", a.End, len(a.Events), live.End, len(live.Events))
+	}
+	want := reference(t, cfg, p, []uint64{a.End / 2})
+	s := NewSession(a)
+	defer s.Close()
+	if err := s.Seek(a.End / 2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image(t, s.Machine()), want[a.End/2].image) {
+		t.Fatal("old-format recording seeks to a state that differs from an uninterrupted run")
+	}
+}
+
+// TestStepAndRStep: forward stepping replays in place (only the stepped
+// cycles); reverse stepping replays from cycle 0 and lands on the identical
+// image the forward pass saw.
 func TestStepAndRStep(t *testing.T) {
 	p := loopProgram(t)
 	cfg := pipeline.DefaultConfig()
-	a := record(t, cfg, p, Config{Interval: 3000, Depth: 64})
+	a := record(t, cfg, p, Config{})
 
 	s := NewSession(a)
 	defer s.Close()
-	start := a.Ckpts[1].Cycle + 100
+	start := a.End / 3
 	if err := s.Seek(start); err != nil {
 		t.Fatal(err)
 	}
-	restores := s.Restores
+	replayed := s.Replayed
 	if err := s.Step(10); err != nil {
 		t.Fatal(err)
 	}
 	if s.Cycle() != start+10 {
 		t.Fatalf("step landed at %d, want %d", s.Cycle(), start+10)
 	}
-	if s.Restores != restores {
-		t.Fatalf("forward step restored a checkpoint (%d -> %d restores)", restores, s.Restores)
+	if s.Replayed != replayed+10 {
+		t.Fatalf("forward step replayed %d cycles, want 10", s.Replayed-replayed)
 	}
-	after, err := s.Image()
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := image(t, s.Machine())
 	if err := s.RStep(10); err != nil {
 		t.Fatal(err)
 	}
@@ -363,11 +452,7 @@ func TestStepAndRStep(t *testing.T) {
 	if err := s.Step(10); err != nil {
 		t.Fatal(err)
 	}
-	again, err := s.Image()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, again) {
+	if !bytes.Equal(after, image(t, s.Machine())) {
 		t.Fatal("step -> rstep -> step did not reproduce the same image")
 	}
 }
@@ -377,7 +462,7 @@ func TestEventsBetween(t *testing.T) {
 	p := loopProgram(t)
 	cfg := pipeline.DefaultConfig()
 	cfg.Chaos = chaos.DefaultConfig(3)
-	a := record(t, cfg, p, Config{Interval: 3000, Depth: 64})
+	a := record(t, cfg, p, Config{})
 	if len(a.Events) == 0 {
 		t.Fatal("chaos run recorded no events")
 	}

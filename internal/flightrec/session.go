@@ -1,21 +1,19 @@
 package flightrec
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
 	"reuseiq/internal/lockstep"
 	"reuseiq/internal/pipeline"
-	"reuseiq/internal/snapshot"
 )
 
-// Session is a seekable cursor over an Archive. Seek(n) restores the newest
-// checkpoint at or below n and silently replays forward — O(interval)
-// deterministic work — leaving a live machine positioned exactly at cycle n.
-// Replays run with the lockstep invariant checker attached (Verify, default
-// on), so a corrupted image or a non-deterministic replay fails loudly
-// instead of presenting fabricated state.
+// Session is a seekable cursor over an Archive. Seek(n) leaves a live
+// machine positioned exactly at cycle n: forward by stepping the cursor's
+// machine, backward by re-running a fresh machine from cycle 0. Replays run
+// with the lockstep invariant checker attached (Verify, default on), so a
+// non-deterministic replay fails loudly instead of presenting fabricated
+// state.
 type Session struct {
 	A *Archive
 	// Verify attaches the per-cycle invariant checker to every replay
@@ -26,8 +24,6 @@ type Session struct {
 	m *pipeline.Machine
 	// Replayed counts cycles stepped across all seeks (diagnostics).
 	Replayed uint64
-	// Restores counts checkpoint restores across all seeks (diagnostics).
-	Restores uint64
 }
 
 // NewSession opens a verifying session over a. The cursor is unpositioned
@@ -49,73 +45,32 @@ func (s *Session) Cycle() uint64 {
 	return s.m.Cycle()
 }
 
-// Bounds returns the seekable cycle range [from, to].
+// Bounds returns the seekable cycle range [0, End].
 func (s *Session) Bounds() (from, to uint64) {
-	return s.A.Ckpts[0].Cycle, s.A.End
+	return 0, s.A.End
 }
 
-// Seek positions the cursor at cycle n: restore the newest checkpoint at or
-// below n, replay forward to n. Seeking to the current cycle is a no-op;
-// seeking forward replays from the cursor when that is cheaper than a
-// restore.
+// Seek positions the cursor at cycle n. When the cursor is at or before n
+// it continues from there; otherwise it replays a fresh machine from
+// cycle 0. Seeking to the current cycle is a no-op.
 func (s *Session) Seek(n uint64) error {
-	from, to := s.Bounds()
-	if n < from {
-		return fmt.Errorf("flightrec: cycle %d predates the checkpoint ring (oldest retained checkpoint is cycle %d)", n, from)
+	if n > s.A.End {
+		return fmt.Errorf("flightrec: cycle %d is beyond the recording's end (cycle %d)", n, s.A.End)
 	}
-	if n > to {
-		return fmt.Errorf("flightrec: cycle %d is beyond the recording's end (cycle %d)", n, to)
-	}
-	ci := s.checkpointFor(n)
-	// Forward micro-seek: if the cursor is already between the chosen
-	// checkpoint and n, replaying from here reaches n strictly cheaper.
-	if s.m != nil && s.m.Cycle() <= n && s.m.Cycle() >= s.A.Ckpts[ci].Cycle {
-		return s.advance(n)
-	}
-	return s.SeekFrom(ci, n)
-}
-
-// checkpointFor returns the index of the newest checkpoint at or below n.
-func (s *Session) checkpointFor(n uint64) int {
-	ci := 0
-	for i, ck := range s.A.Ckpts {
-		if ck.Cycle <= n {
-			ci = i
+	if s.m == nil || s.m.Cycle() > n {
+		m := pipeline.New(s.A.Cfg, s.A.Prog)
+		if s.Verify {
+			lockstep.AttachChecker(m)
 		}
+		if s.m != nil {
+			s.m.Release()
+		}
+		s.m = m
 	}
-	return ci
-}
-
-// SeekFrom restores checkpoint index ci and replays to cycle n, even when a
-// nearer checkpoint exists. Seek is the normal path; SeekFrom exists so
-// tests can prove the destination state is independent of the starting
-// checkpoint.
-func (s *Session) SeekFrom(ci int, n uint64) error {
-	if ci < 0 || ci >= len(s.A.Ckpts) {
-		return fmt.Errorf("flightrec: checkpoint index %d out of range [0,%d)", ci, len(s.A.Ckpts))
-	}
-	ck := s.A.Ckpts[ci]
-	if ck.Cycle > n {
-		return fmt.Errorf("flightrec: checkpoint %d is at cycle %d, after target %d", ci, ck.Cycle, n)
-	}
-	// Resume copies every slice out of the state (pages included), so the
-	// archive's checkpoint stays pristine for the next restore.
-	m, err := pipeline.Resume(s.A.Cfg, s.A.Prog, ck.State)
-	if err != nil {
-		return fmt.Errorf("flightrec: restore checkpoint at cycle %d: %w", ck.Cycle, err)
-	}
-	if s.Verify {
-		lockstep.AttachChecker(m)
-	}
-	if s.m != nil {
-		s.m.Release()
-	}
-	s.m = m
-	s.Restores++
 	return s.advance(n)
 }
 
-// Step advances the cursor k cycles by plain replay (no restore).
+// Step advances the cursor k cycles from where it stands.
 func (s *Session) Step(k uint64) error {
 	if s.m == nil {
 		return errors.New("flightrec: session is unpositioned (seek first)")
@@ -123,8 +78,8 @@ func (s *Session) Step(k uint64) error {
 	return s.advance(s.m.Cycle() + k)
 }
 
-// RStep moves the cursor k cycles backward (restore + replay under the
-// hood — reverse stepping is a seek).
+// RStep moves the cursor k cycles backward (a replay from cycle 0 under
+// the hood — reverse stepping is a seek).
 func (s *Session) RStep(k uint64) error {
 	cur := s.Cycle()
 	if s.m == nil {
@@ -194,19 +149,6 @@ func (s *Session) RunUntil(pred func(m *pipeline.Machine) bool) (bool, error) {
 		return false, fmt.Errorf("flightrec: replay diverged at cycle %d: %w", s.m.Cycle(), err)
 	}
 	return hit, nil
-}
-
-// Image encodes the cursor's machine state as a snapshot image — the
-// byte-identical currency the seek-determinism property is stated in.
-func (s *Session) Image() ([]byte, error) {
-	if s.m == nil {
-		return nil, errors.New("flightrec: session is unpositioned (seek first)")
-	}
-	var buf bytes.Buffer
-	if err := snapshot.Save(&buf, s.m); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // State captures the cursor's full machine state (for dumps and diffs).

@@ -91,7 +91,7 @@ func scanTimeline(a *Archive, cycle uint64) timelineAt {
 
 // Explain reconstructs the causal chain for the machine's condition at a
 // cycle. It is pure text over the archive's events — no replay needed — so
-// it answers instantly even for cycles far from any checkpoint.
+// it answers instantly for any cycle.
 func Explain(a *Archive, cycle uint64) string {
 	var b strings.Builder
 	t := scanTimeline(a, cycle)

@@ -15,9 +15,6 @@
 //	/healthz       liveness (always 200 while the process serves)
 //	/readyz        readiness (200 once the first sample is published)
 //	/debug/pprof   the standard net/http/pprof handlers
-//	/debug/timetravel  JSON flight-recorder status (ring occupancy and the
-//	               seekable cycle range) when a recorder is attached via
-//	               SetTimeTravel; 404 otherwise
 //	/runs          JSON run-ledger summaries (filter with ?kernel= &kind=
 //	               &fingerprint= &last=) when a ledger is attached via
 //	               SetRunSource; 404 otherwise
@@ -67,9 +64,6 @@ type Server struct {
 	ready   atomic.Bool
 	scrapes atomic.Uint64
 
-	ttMu       sync.Mutex // guards timeTravel
-	timeTravel func() any
-
 	runs runSource // /runs and /runs/{id} provider (see SetRunSource)
 
 	ln  net.Listener
@@ -97,7 +91,6 @@ func NewServer() *Server {
 	s.mux.HandleFunc("/runs", s.handleRuns)
 	s.mux.HandleFunc("/runs/{id}", s.handleRun)
 	s.mux.HandleFunc("/dashboard", s.handleDashboard)
-	s.mux.HandleFunc("/debug/timetravel", s.handleTimeTravel)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -205,29 +198,6 @@ type statusPayload struct {
 	EventsPublished uint64 `json:"events_published"`
 	EventsDropped   uint64 `json:"events_dropped"`
 	Status          any    `json:"status,omitempty"`
-}
-
-// SetTimeTravel installs the /debug/timetravel payload provider — typically
-// the flight recorder's Status method, which is safe to call from the HTTP
-// goroutine while the simulation records. nil uninstalls the endpoint.
-func (s *Server) SetTimeTravel(fn func() any) {
-	s.ttMu.Lock()
-	s.timeTravel = fn
-	s.ttMu.Unlock()
-}
-
-func (s *Server) handleTimeTravel(w http.ResponseWriter, _ *http.Request) {
-	s.ttMu.Lock()
-	fn := s.timeTravel
-	s.ttMu.Unlock()
-	if fn == nil {
-		http.Error(w, "no flight recorder attached (run with -flightrec)", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(fn())
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {

@@ -190,29 +190,6 @@ func TestHealthReadyStatusEndpoints(t *testing.T) {
 	if code, body := get("/debug/pprof/cmdline"); code != 200 || body == "" {
 		t.Errorf("/debug/pprof/cmdline = %d, want 200 with content", code)
 	}
-
-	// /debug/timetravel: 404 without a provider, JSON with one.
-	if code, _ := get("/debug/timetravel"); code != http.StatusNotFound {
-		t.Errorf("/debug/timetravel without recorder = %d, want 404", code)
-	}
-	srv.SetTimeTravel(func() any {
-		return map[string]any{"seekable_from": 0, "seekable_to": 8192, "checkpoints": 3}
-	})
-	code, body = get("/debug/timetravel")
-	if code != 200 {
-		t.Fatalf("/debug/timetravel = %d, want 200", code)
-	}
-	var tt map[string]any
-	if err := json.Unmarshal([]byte(body), &tt); err != nil {
-		t.Fatalf("/debug/timetravel is not JSON: %v\n%s", err, body)
-	}
-	if tt["seekable_to"] != float64(8192) || tt["checkpoints"] != float64(3) {
-		t.Errorf("/debug/timetravel payload wrong: %s", body)
-	}
-	srv.SetTimeTravel(nil)
-	if code, _ := get("/debug/timetravel"); code != http.StatusNotFound {
-		t.Errorf("/debug/timetravel after uninstall = %d, want 404", code)
-	}
 }
 
 func TestStartServesAndCloses(t *testing.T) {
