@@ -164,17 +164,18 @@ loop:	add  $r2, $r2, $r3
 
 // BenchmarkKernelStep measures the simulator on what the figures run: each
 // compiled paper kernel, unchanged by loop distribution, through
-// pipeline.New and Run with the reuse mechanism on, at the smallest and
-// largest issue queues that differ in how the load/store queue is scanned
-// (IQ 64 with a 32-entry LSQ, IQ 256 with 128 entries). Compilation is
-// outside the timed loop; ns/cycle is host time per simulated cycle.
+// pipeline.New and Run with the reuse mechanism on, at IQ 32 (the smallest
+// queue, where dispatch and decode weigh most), IQ 64 (32-entry LSQ) and
+// IQ 256 (128-entry LSQ, where the load/store queue's scans weigh most).
+// Compilation is outside the timed loop; ns/cycle is host time per
+// simulated cycle.
 func BenchmarkKernelStep(b *testing.B) {
 	for _, k := range workloads.All() {
 		p, _, err := compiler.Compile(k.Prog)
 		if err != nil {
 			b.Fatalf("compile %s: %v", k.Name, err)
 		}
-		for _, iq := range []int{64, 256} {
+		for _, iq := range []int{32, 64, 256} {
 			b.Run(fmt.Sprintf("%s/iq%d", k.Name, iq), func(b *testing.B) {
 				cfg := pipeline.DefaultConfig().WithIQSize(iq)
 				var cycles uint64

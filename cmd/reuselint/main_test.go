@@ -85,7 +85,7 @@ func TestWaiverBudget(t *testing.T) {
 		"allow-alloc":         4,
 		"allow-nondet":        0,
 		"allow-nonexhaustive": 0,
-		"allow-unguarded":     4,
+		"allow-unguarded":     3,
 		"nowire":              0,
 		"transient":           27,
 	}

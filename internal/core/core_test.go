@@ -11,14 +11,39 @@ func entry(seq uint64, classified, issued bool) Entry {
 	return Entry{Seq: seq, Classified: classified, Issued: issued}
 }
 
+// dispatch appends a copy of e, the way the pipeline fills and indexes a
+// slot from Dispatch.
+func dispatch(q *Queue, e Entry) (int, bool) {
+	slot, p := q.Dispatch(e.Classified)
+	if p == nil {
+		return -1, false
+	}
+	*p = e
+	q.Index(slot, isStore(e))
+	return slot, true
+}
+
+// partialUpdate rewires slot to a new instance with the given register
+// information and ROB/LSQ pointers, the way reuse dispatch does.
+func partialUpdate(q *Queue, slot int, seq uint64, robSlot, lsqSlot int, srcPhys [2]int, srcReady [2]bool, destPhys int) {
+	e := q.PartialUpdate(slot)
+	e.Seq, e.ROBSlot, e.LSQSlot = seq, robSlot, lsqSlot
+	e.SrcPhys, e.SrcReady, e.DestPhys = srcPhys, srcReady, destPhys
+	q.Index(slot, isStore(*e))
+}
+
+func isStore(e Entry) bool {
+	return e.LSQSlot >= 0 && e.Inst.Op.Info().Class == isa.ClassStore
+}
+
 func TestQueueDispatchAndCapacity(t *testing.T) {
 	q := NewQueue(4)
 	for i := 0; i < 4; i++ {
-		if _, ok := q.Dispatch(entry(uint64(i+1), false, false)); !ok {
+		if _, ok := dispatch(q, entry(uint64(i+1), false, false)); !ok {
 			t.Fatalf("dispatch %d failed", i)
 		}
 	}
-	if _, ok := q.Dispatch(entry(9, false, false)); ok {
+	if _, ok := dispatch(q, entry(9, false, false)); ok {
 		t.Fatal("dispatch into full queue succeeded")
 	}
 	if q.Free() != 0 || q.Len() != 4 {
@@ -28,8 +53,8 @@ func TestQueueDispatchAndCapacity(t *testing.T) {
 
 func TestQueueIssueRemovesConventional(t *testing.T) {
 	q := NewQueue(4)
-	s1, _ := q.Dispatch(entry(1, false, false))
-	s2, _ := q.Dispatch(entry(2, false, false))
+	s1, _ := dispatch(q, entry(1, false, false))
+	s2, _ := dispatch(q, entry(2, false, false))
 	if removed := q.MarkIssued(s1); !removed {
 		t.Fatal("conventional entry not removed at issue")
 	}
@@ -47,7 +72,7 @@ func TestQueueIssueRemovesConventional(t *testing.T) {
 
 func TestQueueIssueKeepsClassified(t *testing.T) {
 	q := NewQueue(4)
-	s, _ := q.Dispatch(entry(1, true, false))
+	s, _ := dispatch(q, entry(1, true, false))
 	if removed := q.MarkIssued(s); removed {
 		t.Fatal("classified entry removed at issue")
 	}
@@ -59,7 +84,7 @@ func TestQueueIssueKeepsClassified(t *testing.T) {
 func TestQueueSquashAfter(t *testing.T) {
 	q := NewQueue(8)
 	for i := 1; i <= 5; i++ {
-		q.Dispatch(entry(uint64(i), false, false))
+		dispatch(q, entry(uint64(i), false, false))
 	}
 	q.SquashAfter(2)
 	if q.Len() != 2 {
@@ -74,9 +99,9 @@ func TestQueueSquashAfter(t *testing.T) {
 
 func TestQueueRevoke(t *testing.T) {
 	q := NewQueue(8)
-	q.Dispatch(entry(1, false, false)) // conventional, stays
-	q.Dispatch(entry(2, true, true))   // classified+issued: removed
-	q.Dispatch(entry(3, true, false))  // classified live: declassified
+	dispatch(q, entry(1, false, false)) // conventional, stays
+	dispatch(q, entry(2, true, true))   // classified+issued: removed
+	dispatch(q, entry(3, true, false))  // classified live: declassified
 	q.Revoke()
 	if q.Len() != 2 {
 		t.Fatalf("len after revoke = %d", q.Len())
@@ -99,8 +124,8 @@ func TestQueuePartialUpdate(t *testing.T) {
 	e.Inst = isa.Inst{Op: isa.OpADDI, Rt: 2, Rs: 2, Imm: 1}
 	e.StaticTaken = true
 	e.StaticTarget = 0x400100
-	slot, _ := q.Dispatch(e)
-	q.PartialUpdate(slot, 9, 3, -1, [2]int{7, 0}, [2]bool{}, 8)
+	slot, _ := dispatch(q, e)
+	partialUpdate(q, slot, 9, 3, -1, [2]int{7, 0}, [2]bool{}, 8)
 	got := q.Entry(slot)
 	if got.Seq != 9 || got.ROBSlot != 3 || got.DestPhys != 8 || got.Issued {
 		t.Errorf("partial update result: %+v", got)
@@ -115,10 +140,10 @@ func TestQueuePartialUpdate(t *testing.T) {
 
 func TestQueueClassifiedSlots(t *testing.T) {
 	q := NewQueue(8)
-	q.Dispatch(entry(1, false, false))
-	s2, _ := q.Dispatch(entry(2, true, false))
-	q.Dispatch(entry(3, false, false))
-	s4, _ := q.Dispatch(entry(4, true, false))
+	dispatch(q, entry(1, false, false))
+	s2, _ := dispatch(q, entry(2, true, false))
+	dispatch(q, entry(3, false, false))
+	s4, _ := dispatch(q, entry(4, true, false))
 	idx := q.ClassifiedSlots()
 	if len(idx) != 2 || int(idx[0]) != s2 || int(idx[1]) != s4 {
 		t.Errorf("classified slots = %v, want [%d %d]", idx, s2, s4)
@@ -308,7 +333,7 @@ func TestControllerBuffersAndPromotes(t *testing.T) {
 			if !info.Classify {
 				t.Fatalf("iter %d pc 0x%x not classified", iter, pc)
 			}
-			q.Dispatch(Entry{Seq: uint64(q.Len() + 1), PC: pc, Inst: in,
+			dispatch(q, Entry{Seq: uint64(q.Len() + 1), PC: pc, Inst: in,
 				Classified: info.Classify, StaticTaken: taken, StaticTarget: tgt})
 			if info.Promote {
 				promoted = true
@@ -344,7 +369,7 @@ func TestControllerReusePointerWraps(t *testing.T) {
 			taken := pc == tail
 			info := c.OnDispatch(pc, in, taken, head)
 			seq++
-			q.Dispatch(Entry{Seq: seq, PC: pc, Inst: in, Classified: info.Classify})
+			dispatch(q, Entry{Seq: seq, PC: pc, Inst: in, Classified: info.Classify})
 			if info.Promote {
 				break
 			}
@@ -390,7 +415,7 @@ func TestControllerInnerLoopRevokes(t *testing.T) {
 	// While buffering, the inner loop's backward branch shows up.
 	for pc := outerHead; pc < innerTail; pc += 4 {
 		info := c.OnDispatch(pc, isa.Inst{Op: isa.OpADDI, Rt: 2, Rs: 2, Imm: 1}, false, 0)
-		q.Dispatch(Entry{Seq: uint64(pc), PC: pc, Classified: info.Classify})
+		dispatch(q, Entry{Seq: uint64(pc), PC: pc, Classified: info.Classify})
 	}
 	c.OnDispatch(innerTail, branchAt(innerTail, innerHead), true, innerHead)
 	if c.S.RevokesInner != 1 {
@@ -421,7 +446,7 @@ func TestControllerExitDuringBufferingRevokes(t *testing.T) {
 	tail := uint32(base + 4*4)
 	c.OnDispatch(tail, branchAt(tail, head), true, head)
 	info := c.OnDispatch(head, isa.Inst{Op: isa.OpADDI, Rt: 2, Rs: 2, Imm: 1}, false, 0)
-	q.Dispatch(Entry{Seq: 1, Classified: info.Classify})
+	dispatch(q, Entry{Seq: 1, Classified: info.Classify})
 	// Execution leaves the loop (e.g. an early exit path).
 	c.OnDispatch(tail+8, isa.Inst{Op: isa.OpADDI, Rt: 2, Rs: 2, Imm: 1}, false, 0)
 	if c.State() != Normal || c.S.RevokesExit != 1 {

@@ -39,7 +39,7 @@ func (h *harness) dispatch(pc uint32, in isa.Inst, taken bool, target uint32) {
 		return
 	}
 	info := h.c.OnDispatch(pc, in, taken, target)
-	h.q.Dispatch(Entry{
+	dispatch(h.q, Entry{
 		Seq: h.nextSeq(), PC: pc, Inst: in,
 		Classified: info.Classify, StaticTaken: taken, StaticTarget: target,
 	})
@@ -66,7 +66,7 @@ func (h *harness) issueSome(rng *rand.Rand, n int) {
 func (h *harness) reuseSome(width int) {
 	idxs := h.c.ReusableEntries(width)
 	for _, pos := range idxs {
-		h.q.PartialUpdate(pos, h.nextSeq(), 0, -1, [2]int{}, [2]bool{}, -1)
+		partialUpdate(h.q, pos, h.nextSeq(), 0, -1, [2]int{}, [2]bool{}, -1)
 	}
 	h.c.ConsumeReused(len(idxs))
 }
@@ -171,7 +171,7 @@ func TestReusePointerCoversAllEntries(t *testing.T) {
 			t.Fatal("supply stalled with all entries issued")
 		}
 		for _, pos := range idxs {
-			h.q.PartialUpdate(pos, h.nextSeq(), 0, -1, [2]int{}, [2]bool{}, -1)
+			partialUpdate(h.q, pos, h.nextSeq(), 0, -1, [2]int{}, [2]bool{}, -1)
 			h.q.MarkIssued(pos) // pretend it issued again immediately
 			seen++
 		}

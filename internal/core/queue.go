@@ -172,18 +172,21 @@ func (q *Queue) Entry(slot int) *Entry { return &q.slots[slot] }
 // Valid reports whether slot currently holds a live entry.
 func (q *Queue) Valid(slot int) bool { return q.st[slot].valid }
 
-// Dispatch appends a new entry in program order and returns its slot. The
-// entry's NumSrc/SrcKind/SrcPhys/SrcReady fields seed the wakeup index: each
-// unready source is registered on its physical register's waiter list.
+// Dispatch appends a new entry in program order and returns its slot and
+// the entry, zeroed apart from the classification bit, for the caller to
+// fill in place; Index then enters it into the queue's indexes. It returns
+// -1 and nil when the queue is full.
 //
 //reuse:hotpath
-func (q *Queue) Dispatch(e Entry) (int, bool) {
+func (q *Queue) Dispatch(classified bool) (int, *Entry) {
 	if q.count == q.size {
-		return -1, false
+		return -1, nil
 	}
 	slot := q.freeTop
 	q.freeTop = q.st[slot].next
-	q.slots[slot] = e
+	en := &q.slots[slot]
+	*en = Entry{}
+	en.Classified = classified
 	q.orderGen++
 	q.st[slot] = slotMeta{
 		next: -1, prev: q.tail,
@@ -201,33 +204,38 @@ func (q *Queue) Dispatch(e Entry) (int, bool) {
 	q.count++
 	q.Dispatches++
 
-	en := &q.slots[slot]
-	if en.Classified {
+	if classified {
 		q.classified++
 		if !q.classDirty {
 			q.classSlots = append(q.classSlots, slot)
 		}
 	}
-	q.indexEntry(slot, en)
-	return int(slot), true
+	return int(slot), en
 }
 
-// indexEntry (re)builds the wakeup and pending-store state of a freshly
-// written slot.
-func (q *Queue) indexEntry(slot int32, en *Entry) {
+// Index enters the freshly filled entry in slot (from Dispatch or
+// PartialUpdate) into the wakeup and select indexes: each unready source,
+// per its NumSrc/SrcKind/SrcPhys/SrcReady fields, is registered on its
+// physical register's waiter list, and an entry with none becomes a select
+// candidate. A store whose address the pipeline has yet to publish joins
+// the pending-store list.
+//
+//reuse:hotpath
+func (q *Queue) Index(slot int, store bool) {
+	en := &q.slots[slot]
 	pending := int8(0)
 	for s := 0; s < en.NumSrc; s++ {
 		if !en.SrcReady[s] {
 			pending++
-			q.registerWaiter(slot, int32(s), en.SrcKind[s], en.SrcPhys[s])
+			q.registerWaiter(int32(slot), int32(s), en.SrcKind[s], en.SrcPhys[s])
 		}
 	}
 	q.st[slot].pending = pending
 	if pending == 0 && !en.Issued {
-		q.addReady(slot)
+		q.addReady(int32(slot))
 	}
-	if en.LSQSlot >= 0 && !en.Issued && en.Inst.Op.Info().Class == isa.ClassStore {
-		q.addStore(slot)
+	if store && !en.Issued {
+		q.addStore(int32(slot))
 	}
 }
 
@@ -325,14 +333,16 @@ func (q *Queue) ClassifiedSlots() []int32 {
 // ClassifiedCount returns the number of buffered entries.
 func (q *Queue) ClassifiedCount() int { return q.classified }
 
-// PartialUpdate rewires the entry in slot to a new dynamic instance during
-// Code Reuse. Only register information and the ROB/LSQ pointers change (the
-// paper's reduced-activity update); opcode, immediates and the recorded
-// static prediction stay. srcReady is the readiness snapshot of the new
-// physical sources, taken by the caller at re-rename time.
+// PartialUpdate begins rewiring the entry in slot to a new dynamic instance
+// during Code Reuse and returns it. It takes the entry out of the indexes,
+// clears its issue state bit and its destination tag (-1 until the caller
+// renames a destination); the caller writes the new register information
+// and ROB/LSQ pointers in place (the paper's reduced-activity update:
+// opcode, immediates and the recorded static prediction stay) and then
+// calls Index.
 //
 //reuse:hotpath
-func (q *Queue) PartialUpdate(slot int, seq uint64, robSlot, lsqSlot int, srcPhys [2]int, srcReady [2]bool, destPhys int) {
+func (q *Queue) PartialUpdate(slot int) *Entry {
 	e := &q.slots[slot]
 	// The entry was issued, so it holds no waiters and is not a candidate;
 	// the removals below are no-ops then, but keep direct test drivers that
@@ -342,16 +352,10 @@ func (q *Queue) PartialUpdate(slot int, seq uint64, robSlot, lsqSlot int, srcPhy
 	}
 	q.removeReady(int32(slot))
 	q.removeStore(int32(slot))
-
-	e.Seq = seq
-	e.ROBSlot = robSlot
-	e.LSQSlot = lsqSlot
-	e.SrcPhys = srcPhys
-	e.SrcReady = srcReady
-	e.DestPhys = destPhys
 	e.Issued = false
+	e.DestPhys = -1
 	q.PartialUpdates++
-	q.indexEntry(int32(slot), e)
+	return e
 }
 
 // Walk calls f for each entry in program order, passing its slot. f must

@@ -270,7 +270,7 @@ func TestQueueMatchesCollapsingReference(t *testing.T) {
 			switch rng.Intn(12) {
 			case 0, 1, 2, 3, 4: // dispatch
 				e := l.randomEntry(rng)
-				_, ok := l.q.Dispatch(e)
+				_, ok := dispatch(l.q, e)
 				rok := l.ref.Dispatch(e)
 				if ok != rok {
 					t.Fatalf("seed %d step %d: Dispatch accepted=%v, ref=%v", seed, step, ok, rok)
@@ -311,7 +311,7 @@ func TestQueueMatchesCollapsingReference(t *testing.T) {
 				srcPhys := [2]int{rng.Intn(16), rng.Intn(16)}
 				srcReady := [2]bool{rng.Intn(2) == 0, rng.Intn(2) == 0}
 				dest := rng.Intn(16)
-				l.q.PartialUpdate(slot, l.seq, rob, lsqSlot, srcPhys, srcReady, dest)
+				partialUpdate(l.q, slot, l.seq, rob, lsqSlot, srcPhys, srcReady, dest)
 				l.ref.PartialUpdate(pos, l.seq, rob, lsqSlot, srcPhys, srcReady, dest)
 			case 11: // broadcast a result tag
 				kind := isa.KindInt
@@ -335,7 +335,7 @@ func TestQueueStoreResolutionLockstep(t *testing.T) {
 	for step := 0; step < 300; step++ {
 		if rng.Intn(2) == 0 && l.ref.Free() > 0 {
 			e := l.randomEntry(rng)
-			l.q.Dispatch(e)
+			dispatch(l.q, e)
 			l.ref.Dispatch(e)
 		} else {
 			// Resolve the oldest pending store, as resolveStoreAddresses does.

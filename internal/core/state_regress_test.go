@@ -22,7 +22,7 @@ func TestControllerStateRoundTripsWraps(t *testing.T) {
 			taken := pc == tail
 			info := c.OnDispatch(pc, in, taken, head)
 			seq++
-			q.Dispatch(Entry{Seq: seq, PC: pc, Inst: in, Classified: info.Classify})
+			dispatch(q, Entry{Seq: seq, PC: pc, Inst: in, Classified: info.Classify})
 			if info.Promote {
 				break
 			}

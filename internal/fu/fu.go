@@ -46,10 +46,12 @@ func DefaultConfig() Config {
 	return Config{NumIntALU: 4, NumIntMul: 1, NumFPALU: 4, NumFPMul: 1, NumMemPort: 2}
 }
 
-// OpTiming describes where an op executes and for how long.
+// OpTiming describes where an op executes and for how long. Latency comes
+// first so the struct packs into 16 bytes (each predecoded instruction
+// carries one).
 type OpTiming struct {
+	Latency   int // result latency in cycles
 	Kind      Kind
-	Latency   int  // result latency in cycles
 	Pipelined bool // whether the unit accepts a new op next cycle
 }
 
@@ -95,33 +97,24 @@ func NewPool(cfg Config) *Pool {
 	return p
 }
 
-// TryIssue attempts to start op at cycle now. On success it books the unit
-// and returns the op's result latency.
-func (p *Pool) TryIssue(op isa.Op, now uint64) (int, bool) {
-	t := Timing(op)
-	units := p.nextFree[t.Kind]
-	for i := range units {
-		if units[i] <= now {
-			if t.Pipelined {
-				units[i] = now + 1
-			} else {
-				units[i] = now + uint64(t.Latency)
-			}
-			p.Ops[t.Kind]++
-			return t.Latency, true
+// Free returns a unit of kind k that can accept an operation at cycle now,
+// or -1 when every unit of that kind is busy.
+func (p *Pool) Free(k Kind, now uint64) int {
+	for i, free := range p.nextFree[k] {
+		if free <= now {
+			return i
 		}
 	}
-	return 0, false
+	return -1
 }
 
-// Available reports whether a unit of op's kind is free at cycle now,
-// without booking it.
-func (p *Pool) Available(op isa.Op, now uint64) bool {
-	t := Timing(op)
-	for _, free := range p.nextFree[t.Kind] {
-		if free <= now {
-			return true
-		}
+// Book starts an operation with timing t on unit u, which Free returned for
+// t.Kind at cycle now.
+func (p *Pool) Book(t *OpTiming, u int, now uint64) {
+	if t.Pipelined {
+		p.nextFree[t.Kind][u] = now + 1
+	} else {
+		p.nextFree[t.Kind][u] = now + uint64(t.Latency)
 	}
-	return false
+	p.Ops[t.Kind]++
 }

@@ -92,8 +92,10 @@ func TestCheckerCatchesROBCorruption(t *testing.T) {
 	m := pipeline.New(pipeline.DefaultConfig(), p)
 	k := AttachChecker(m)
 	in := isa.Inst{Op: isa.OpADD, Rd: 2}
-	m.ROB.Alloc(rob.Entry{Seq: 5, Inst: in})
-	m.ROB.Alloc(rob.Entry{Seq: 3, Inst: in})
+	for _, seq := range []uint64{5, 3} {
+		_, e := m.ROB.Alloc()
+		*e = rob.Entry{Seq: seq, Inst: in}
+	}
 	err := k.Check()
 	if err == nil || !strings.Contains(err.Error(), "ROB seq not monotonic") {
 		t.Fatalf("ROB corruption not caught: %v", err)

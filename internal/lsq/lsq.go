@@ -62,18 +62,21 @@ func (q *LSQ) Len() int  { return q.count }
 // Full reports whether an allocation would fail.
 func (q *LSQ) Full() bool { return q.count == len(q.ring) }
 
-// Alloc appends a memory operation, returning its stable slot.
+// Alloc appends a zeroed memory operation and returns its stable slot and
+// the entry, for the caller to fill in place. It returns nil when the queue
+// is full.
 //
 //reuse:hotpath
-func (q *LSQ) Alloc(e Entry) (int, bool) {
+func (q *LSQ) Alloc() (int, *Entry) {
 	if q.Full() {
-		return 0, false
+		return 0, nil
 	}
 	slot := (q.head + q.count) % len(q.ring)
-	q.ring[slot] = e
+	e := &q.ring[slot]
+	*e = Entry{}
 	q.count++
 	q.Allocs++
-	return slot, true
+	return slot, e
 }
 
 // Get returns the entry in slot.
@@ -87,20 +90,19 @@ func (q *LSQ) Head() *Entry {
 	return &q.ring[q.head]
 }
 
-// PopHead removes the oldest entry (when its instruction commits).
+// PopHead removes the oldest entry (when its instruction commits); read it
+// through Head first.
 //
 //reuse:hotpath
-func (q *LSQ) PopHead() Entry {
+func (q *LSQ) PopHead() {
 	if q.count == 0 {
 		panic("lsq: pop of empty queue")
 	}
-	e := q.ring[q.head]
 	q.head = (q.head + 1) % len(q.ring)
 	q.count--
 	if q.resolved > 0 {
 		q.resolved--
 	}
-	return e
 }
 
 // SquashAfter drops all entries with Seq > seq.

@@ -11,23 +11,40 @@ func load(seq uint64, size uint8) Entry {
 	return Entry{Seq: seq, Size: size}
 }
 
+// push appends a copy of e, as the pipeline fills a slot from Alloc.
+func push(q *LSQ, e Entry) (int, bool) {
+	slot, p := q.Alloc()
+	if p == nil {
+		return 0, false
+	}
+	*p = e
+	return slot, true
+}
+
+// pop removes and returns the head entry.
+func pop(q *LSQ) Entry {
+	e := *q.Head()
+	q.PopHead()
+	return e
+}
+
 func TestAllocPopOrder(t *testing.T) {
 	q := New(4)
-	q.Alloc(load(1, 4))
-	q.Alloc(store(2, 0x100, 4, 7, true))
+	push(q, load(1, 4))
+	push(q, store(2, 0x100, 4, 7, true))
 	if q.Len() != 2 || q.Full() {
 		t.Fatalf("len=%d", q.Len())
 	}
-	if q.PopHead().Seq != 1 || q.PopHead().Seq != 2 {
+	if pop(q).Seq != 1 || pop(q).Seq != 2 {
 		t.Fatal("pop order wrong")
 	}
 }
 
 func TestOldestUnresolvedStore(t *testing.T) {
 	q := New(8)
-	q.Alloc(store(1, 0x100, 4, 7, true))
-	q.Alloc(store(2, 0, 4, 0, false)) // unresolved
-	q.Alloc(load(3, 4))
+	push(q, store(1, 0x100, 4, 7, true))
+	push(q, store(2, 0, 4, 0, false)) // unresolved
+	push(q, load(3, 4))
 	if b := q.OldestUnresolvedStore(); b >= 3 {
 		t.Fatalf("bound = %d: unresolved older store not detected", b)
 	}
@@ -36,7 +53,7 @@ func TestOldestUnresolvedStore(t *testing.T) {
 		t.Fatalf("bound = %d: resolved stores still block", b)
 	}
 	// A younger store must not block an older load.
-	q.Alloc(store(5, 0, 4, 0, false))
+	push(q, store(5, 0, 4, 0, false))
 	if b := q.OldestUnresolvedStore(); b < 3 {
 		t.Fatalf("bound = %d: younger store blocked older load", b)
 	}
@@ -49,7 +66,7 @@ func TestOldestUnresolvedStore(t *testing.T) {
 // alloc appends e and returns its slot, failing the test on a full queue.
 func alloc(t *testing.T, q *LSQ, e Entry) int {
 	t.Helper()
-	slot, ok := q.Alloc(e)
+	slot, ok := push(q, e)
 	if !ok {
 		t.Fatalf("alloc of seq %d into a full queue", e.Seq)
 	}
@@ -58,7 +75,7 @@ func alloc(t *testing.T, q *LSQ, e Entry) int {
 
 func TestForwardExactMatch(t *testing.T) {
 	q := New(8)
-	q.Alloc(store(1, 0x100, 4, 42, true))
+	push(q, store(1, 0x100, 4, 42, true))
 	ld := alloc(t, q, load(2, 4))
 	res, dI, _ := q.SearchForLoad(ld, 0x100, 4)
 	if res != Forwarded || dI != 42 {
@@ -71,8 +88,8 @@ func TestForwardExactMatch(t *testing.T) {
 
 func TestForwardYoungestOlderWins(t *testing.T) {
 	q := New(8)
-	q.Alloc(store(1, 0x100, 4, 1, true))
-	q.Alloc(store(2, 0x100, 4, 2, true))
+	push(q, store(1, 0x100, 4, 1, true))
+	push(q, store(2, 0x100, 4, 2, true))
 	ld := alloc(t, q, load(3, 4))
 	res, dI, _ := q.SearchForLoad(ld, 0x100, 4)
 	if res != Forwarded || dI != 2 {
@@ -83,7 +100,7 @@ func TestForwardYoungestOlderWins(t *testing.T) {
 func TestForwardIgnoresYoungerStores(t *testing.T) {
 	q := New(8)
 	ld := alloc(t, q, load(1, 4))
-	q.Alloc(store(2, 0x100, 4, 9, true))
+	push(q, store(2, 0x100, 4, 9, true))
 	res, _, _ := q.SearchForLoad(ld, 0x100, 4)
 	if res != FromMemory {
 		t.Fatalf("res = %v, want FromMemory", res)
@@ -92,7 +109,7 @@ func TestForwardIgnoresYoungerStores(t *testing.T) {
 
 func TestForwardNoOverlapGoesToMemory(t *testing.T) {
 	q := New(8)
-	q.Alloc(store(1, 0x100, 4, 9, true))
+	push(q, store(1, 0x100, 4, 9, true))
 	ld := alloc(t, q, load(2, 4))
 	res, _, _ := q.SearchForLoad(ld, 0x104, 4)
 	if res != FromMemory {
@@ -102,7 +119,7 @@ func TestForwardNoOverlapGoesToMemory(t *testing.T) {
 
 func TestPartialOverlapMustWait(t *testing.T) {
 	q := New(8)
-	q.Alloc(store(1, 0x100, 1, 0xff, true)) // byte store
+	push(q, store(1, 0x100, 1, 0xff, true)) // byte store
 	ld := alloc(t, q, load(2, 4))
 	res, _, _ := q.SearchForLoad(ld, 0x100, 4) // word load overlapping the byte
 	if res != MustWait {
@@ -117,7 +134,7 @@ func TestPartialOverlapMustWait(t *testing.T) {
 
 func TestUnresolvedOlderStoreMustWait(t *testing.T) {
 	q := New(8)
-	q.Alloc(store(1, 0, 4, 0, false))
+	push(q, store(1, 0, 4, 0, false))
 	ld := alloc(t, q, load(2, 4))
 	res, _, _ := q.SearchForLoad(ld, 0x100, 4)
 	if res != MustWait {
@@ -129,7 +146,7 @@ func TestFPForwarding(t *testing.T) {
 	q := New(8)
 	s := Entry{Seq: 1, IsStore: true, IsFP: true, Size: 8, Addr: 0x200,
 		AddrReady: true, DataReady: true, DataF: 2.5}
-	q.Alloc(s)
+	push(q, s)
 	ld := alloc(t, q, Entry{Seq: 2, Size: 8, IsFP: true})
 	res, _, dF := q.SearchForLoad(ld, 0x200, 8)
 	if res != Forwarded || dF != 2.5 {
@@ -140,7 +157,7 @@ func TestFPForwarding(t *testing.T) {
 func TestSquashAfter(t *testing.T) {
 	q := New(8)
 	for i := 1; i <= 5; i++ {
-		q.Alloc(load(uint64(i), 4))
+		push(q, load(uint64(i), 4))
 	}
 	q.SquashAfter(2)
 	if q.Len() != 2 {
@@ -155,11 +172,11 @@ func TestSquashAfter(t *testing.T) {
 
 func TestRingWraparound(t *testing.T) {
 	q := New(3)
-	q.Alloc(load(1, 4))
-	q.Alloc(load(2, 4))
+	push(q, load(1, 4))
+	push(q, load(2, 4))
 	q.PopHead()
-	q.Alloc(load(3, 4))
-	q.Alloc(load(4, 4)) // wraps into slot 0
+	push(q, load(3, 4))
+	push(q, load(4, 4)) // wraps into slot 0
 	if q.Len() != 3 || !q.Full() {
 		t.Fatalf("len=%d", q.Len())
 	}
@@ -185,5 +202,18 @@ func TestOverlapHelper(t *testing.T) {
 		if got := overlaps(c.a1, c.s1, c.a2, c.s2); got != c.want {
 			t.Errorf("overlaps(0x%x,%d, 0x%x,%d) = %v", c.a1, c.s1, c.a2, c.s2, got)
 		}
+	}
+}
+
+// A slot handed out again after its entry left must come back zeroed: the
+// pipeline fills only a new operation's static fields, so a stale AddrReady
+// or Done would leak into it.
+func TestAllocZeroesReusedSlot(t *testing.T) {
+	q := New(1)
+	push(q, store(1, 0x100, 4, 7, true))
+	q.PopHead()
+	_, e := q.Alloc()
+	if *e != (Entry{}) {
+		t.Errorf("reused slot = %+v, want zeroed", *e)
 	}
 }

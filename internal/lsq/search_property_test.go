@@ -66,7 +66,7 @@ func randomQueue(rng *rand.Rand) *LSQ {
 		head = size - 1 - rng.Intn(min(size, 3))
 	}
 	for i := 0; i < head; i++ {
-		q.Alloc(load(0, 4))
+		push(q, load(0, 4))
 		q.PopHead()
 	}
 	seq := uint64(1 + rng.Intn(100))
@@ -82,7 +82,7 @@ func randomQueue(rng *rand.Rand) *LSQ {
 			e.DataI = rng.Int31()
 			e.DataF = rng.Float64()
 		}
-		q.Alloc(e)
+		push(q, e)
 	}
 	return q
 }
@@ -241,8 +241,8 @@ func TestChecksMatchScansOverSequences(t *testing.T) {
 				seq += uint64(1 + rng.Intn(3))
 				sz := accessSizes[rng.Intn(len(accessSizes))]
 				e := Entry{Seq: seq, Size: sz, IsFP: sz == 8, IsStore: rng.Intn(2) == 0}
-				slot, _ := q.Alloc(e)
-				ref.Alloc(e)
+				slot, _ := push(q, e)
+				push(ref, e)
 				access[slot] = [2]uint32{0x100 + uint32(rng.Intn(24)), uint32(sz)}
 			case op < 6: // a store's address resolves
 				if slot := live(func(e *Entry) bool { return e.IsStore && !e.AddrReady }); slot >= 0 {

@@ -3,8 +3,7 @@ package pipeline
 import (
 	"reuseiq/internal/core"
 	"reuseiq/internal/isa"
-	"reuseiq/internal/lsq"
-	"reuseiq/internal/rob"
+	"reuseiq/internal/prog"
 )
 
 // -------------------------------------------------------------- dispatch --
@@ -21,20 +20,21 @@ func (m *Machine) dispatch() {
 	}
 	for i := 0; i < m.Cfg.DecodeWidth && len(m.decodeLat) > 0; i++ {
 		f := m.decodeLat[0]
-		if !m.dispatchResourcesOK(f.in) {
+		d := m.Prog.At(f.pc)
+		if m.stalled(d, true) {
 			return
 		}
 		// Pop by copying down so the latch's backing array never slides
 		// (append would otherwise reallocate it every few cycles).
 		n := copy(m.decodeLat, m.decodeLat[1:])
 		m.decodeLat = m.decodeLat[:n]
-		promoted := m.dispatchOne(f)
+		info := m.Ctl.OnDispatch(f.pc, f.in, f.predTaken, f.predTarget)
+		slot, e := m.IQ.Dispatch(info.Classify)
+		e.PC, e.Inst = f.pc, f.in
+		e.StaticTaken, e.StaticTarget = f.predTaken, f.predTarget
+		m.rename(slot, e, d, false)
 		m.C.FrontRenames++
-		if m.nextSeq < m.telSeq {
-			//reuse:allow-unguarded telSeq is nonzero only after AttachTelemetry caches Tel's cap
-			m.Tel.InstDispatch(m.nextSeq, f.pc, false)
-		}
-		if promoted {
+		if info.Promote {
 			// Code Reuse entered: gate the front end and flush
 			// fetched-but-undispatched instructions; the reuse
 			// pointer re-supplies them (paper §2.3).
@@ -45,194 +45,91 @@ func (m *Machine) dispatch() {
 	}
 }
 
-// dispatchResourcesOK checks structural resources for one instruction and
-// records stall causes.
-func (m *Machine) dispatchResourcesOK(in isa.Inst) bool {
-	if m.ROB.Full() {
-		m.C.DispatchStallROB++
-		return false
-	}
-	if m.IQ.Free() == 0 {
-		m.C.DispatchStallIQ++
-		m.Ctl.OnIQFull()
-		return false
-	}
-	if in.Op.IsMem() && m.LSQ.Full() {
-		m.C.DispatchStallLSQ++
-		return false
-	}
-	if d, ok := in.Dest(); ok && !m.RF.CanRename(d) {
-		m.C.DispatchStallRegs++
-		return false
-	}
-	return true
-}
-
-// dispatchOne renames and dispatches one front-end instruction. It returns
-// whether the queue promoted to Code Reuse.
-func (m *Machine) dispatchOne(f fetched) (promoted bool) {
-	info := m.Ctl.OnDispatch(f.pc, f.in, f.predTaken, f.predTarget)
-
-	seq := m.allocSeq()
-	entry := core.Entry{
-		Seq:          seq,
-		PC:           f.pc,
-		Inst:         f.in,
-		LSQSlot:      -1,
-		Classified:   info.Classify,
-		StaticTaken:  f.predTaken,
-		StaticTarget: f.predTarget,
-	}
-	oldPhys := m.renameInto(&entry)
-
-	re := rob.Entry{
-		Seq: seq, PC: f.pc, Inst: f.in,
-		HasDest: entry.HasDest, PredTaken: f.predTaken, PredTarget: f.predTarget,
-		IsLoad:  f.in.Op.Info().Class == isa.ClassLoad,
-		IsStore: f.in.Op.Info().Class == isa.ClassStore,
-		Halt:    f.in.Op == isa.OpHALT,
-	}
-	if entry.HasDest {
-		d, _ := f.in.Dest()
-		re.Dest = d
-		re.NewPhys = entry.DestPhys
-		re.OldPhys = oldPhys
-	}
-	slot, ok := m.ROB.Alloc(re)
-	if !ok {
-		panic("pipeline: ROB alloc after resource check")
-	}
-	entry.ROBSlot = slot
-
-	if f.in.Op.IsMem() {
-		ls, ok := m.LSQ.Alloc(lsq.Entry{
-			Seq:     seq,
-			IsStore: re.IsStore,
-			IsFP:    f.in.Op == isa.OpLD || f.in.Op == isa.OpSD,
-			Size:    memSize(f.in.Op),
-		})
-		if !ok {
-			panic("pipeline: LSQ alloc after resource check")
-		}
-		entry.LSQSlot = ls
-	}
-	if _, ok := m.IQ.Dispatch(entry); !ok {
-		panic("pipeline: IQ dispatch after resource check")
-	}
-	return info.Promote
-}
-
-// renameInto fills the entry's physical source and destination registers and
-// returns the previous physical mapping of the destination (for rollback).
-// It also snapshots per-source readiness, seeding the queue's wakeup index.
-func (m *Machine) renameInto(e *core.Entry) (oldPhys int) {
-	var srcs [2]isa.Reg
-	e.NumSrc = e.Inst.SourceRegs(&srcs)
-	for i := 0; i < e.NumSrc; i++ {
-		s := srcs[i]
-		e.SrcPhys[i] = m.RF.Lookup(s)
-		e.SrcKind[i] = s.Kind
-		e.SrcReady[i] = m.RF.Ready(s.Kind, e.SrcPhys[i])
-	}
-	if d, ok := e.Inst.Dest(); ok {
-		var newP int
-		newP, oldPhys = m.RF.Rename(d)
-		e.HasDest = true
-		e.DestPhys = newP
-		e.DestKind = d.Kind
-	}
-	return oldPhys
-}
-
 // reuseDispatch re-renames up to DecodeWidth issued buffered entries,
 // supplying instructions from the issue queue itself while the front end is
 // gated.
 //
 //reuse:hotpath
 func (m *Machine) reuseDispatch() {
-	idxs := m.Ctl.ReusableEntries(m.Cfg.DecodeWidth)
 	consumed := 0
-	for _, pos := range idxs {
-		e := m.IQ.Entry(pos)
-		in := e.Inst
+	for _, slot := range m.Ctl.ReusableEntries(m.Cfg.DecodeWidth) {
+		d := m.Prog.At(m.IQ.Entry(slot).PC)
 		// Unlike front-end dispatch, reuse updates the queue entry in
 		// place, so no free issue-queue slot is needed.
-		if m.ROB.Full() {
-			m.C.DispatchStallROB++
+		if m.stalled(d, false) {
 			break
 		}
-		if in.Op.IsMem() && m.LSQ.Full() {
-			m.C.DispatchStallLSQ++
-			break
-		}
-		if d, ok := in.Dest(); ok && !m.RF.CanRename(d) {
-			m.C.DispatchStallRegs++
-			break
-		}
-		seq := m.allocSeq()
-
-		// Re-rename from the logical register list.
-		var srcs [2]isa.Reg
-		nsrc := in.SourceRegs(&srcs)
-		var srcPhys [2]int
-		var srcReady [2]bool
-		for i := 0; i < nsrc; i++ {
-			srcPhys[i] = m.RF.Lookup(srcs[i])
-			srcReady[i] = m.RF.Ready(srcs[i].Kind, srcPhys[i])
-		}
-		destPhys := -1
-		var oldPhys int
-		var dest isa.Reg
-		hasDest := false
-		if d, ok := in.Dest(); ok {
-			destPhys, oldPhys = m.RF.Rename(d)
-			dest = d
-			hasDest = true
-		}
-
-		re := rob.Entry{
-			Seq: seq, PC: e.PC, Inst: in,
-			HasDest:    hasDest,
-			PredTaken:  e.StaticTaken,
-			PredTarget: e.StaticTarget,
-			IsLoad:     in.Op.Info().Class == isa.ClassLoad,
-			IsStore:    in.Op.Info().Class == isa.ClassStore,
-			Halt:       in.Op == isa.OpHALT,
-			Reused:     true,
-		}
-		if hasDest {
-			re.Dest = dest
-			re.NewPhys = destPhys
-			re.OldPhys = oldPhys
-		}
-		slot, ok := m.ROB.Alloc(re)
-		if !ok {
-			panic("pipeline: ROB alloc after resource check (reuse)")
-		}
-		lsqSlot := -1
-		if in.Op.IsMem() {
-			ls, ok := m.LSQ.Alloc(lsq.Entry{
-				Seq:     seq,
-				IsStore: re.IsStore,
-				IsFP:    in.Op == isa.OpLD || in.Op == isa.OpSD,
-				Size:    memSize(in.Op),
-			})
-			if !ok {
-				panic("pipeline: LSQ alloc after resource check (reuse)")
-			}
-			lsqSlot = ls
-		}
-		m.IQ.PartialUpdate(pos, seq, slot, lsqSlot, srcPhys, srcReady, destPhys)
+		m.rename(slot, m.IQ.PartialUpdate(slot), d, true)
 		m.C.ReuseRenames++
 		consumed++
-		if seq < m.telSeq {
-			//reuse:allow-unguarded telSeq is nonzero only after AttachTelemetry caches Tel's cap
-			m.Tel.InstDispatch(seq, e.PC, true)
-		}
 	}
 	m.Ctl.ConsumeReused(consumed)
 	if m.Tel != nil && consumed > 0 {
 		m.Tel.ReuseSupplied(consumed)
+	}
+}
+
+// stalled reports whether a structure lacks room to dispatch d: the ROB, the
+// issue queue (front end only, since reuse rewrites its buffered entry), the
+// LSQ for a memory operation, or a physical register for a destination. It
+// charges the first shortage, in that order, to its stall counter.
+func (m *Machine) stalled(d *prog.Predecoded, needIQ bool) bool {
+	switch {
+	case m.ROB.Full():
+		m.C.DispatchStallROB++
+	case needIQ && m.IQ.Free() == 0:
+		m.C.DispatchStallIQ++
+		m.Ctl.OnIQFull()
+	case d.IsMem() && m.LSQ.Full():
+		m.C.DispatchStallLSQ++
+	case d.HasDest && !m.RF.CanRename(d.Dest):
+		m.C.DispatchStallRegs++
+	default:
+		return false
+	}
+	return true
+}
+
+// rename renames one instruction from its predecoded record d into the issue
+// queue entry e in slot and fills its ROB and LSQ entries in place. e is a
+// new entry from front-end dispatch or a buffered one that reuse is
+// rewiring (reused); either way its PC, instruction and static prediction
+// are set. The caller has checked for room (stalled), so the allocators
+// cannot fail. Sources are looked up before the destination is renamed, so
+// an instruction that overwrites one of its sources reads the previous
+// value.
+func (m *Machine) rename(slot int, e *core.Entry, d *prog.Predecoded, reused bool) {
+	seq := m.allocSeq()
+	robSlot, re := m.ROB.Alloc()
+	e.Seq, e.ROBSlot = seq, robSlot
+	re.Seq, re.PC, re.Inst = seq, e.PC, e.Inst
+	re.PredTaken, re.PredTarget = e.StaticTaken, e.StaticTarget
+	re.IsLoad, re.IsStore = d.Class == isa.ClassLoad, d.Class == isa.ClassStore
+	re.Halt, re.Reused = d.Halt, reused
+
+	e.NumSrc = int(d.NumSrc)
+	for i := 0; i < e.NumSrc; i++ {
+		s := d.Src[i]
+		e.SrcPhys[i] = m.RF.Lookup(s)
+		e.SrcKind[i] = s.Kind
+		e.SrcReady[i] = m.RF.Ready(s.Kind, e.SrcPhys[i])
+	}
+	if d.HasDest {
+		re.HasDest, re.Dest = true, d.Dest
+		re.NewPhys, re.OldPhys = m.RF.Rename(d.Dest)
+		e.HasDest, e.DestKind, e.DestPhys = true, d.Dest.Kind, re.NewPhys
+	}
+
+	e.LSQSlot = -1
+	if d.IsMem() {
+		ls, le := m.LSQ.Alloc()
+		le.Seq, le.IsStore, le.IsFP, le.Size = seq, re.IsStore, d.FP, d.MemSize
+		e.LSQSlot = ls
+	}
+	m.IQ.Index(slot, re.IsStore)
+	if seq < m.telSeq {
+		//reuse:allow-unguarded telSeq is nonzero only after AttachTelemetry caches Tel's cap
+		m.Tel.InstDispatch(seq, e.PC, reused)
 	}
 }
 
@@ -293,8 +190,9 @@ func (m *Machine) fetch() {
 				return
 			}
 		}
+		d := m.Prog.At(m.fetchPC)
 		f := fetched{pc: m.fetchPC, in: in}
-		if in.Op.IsControl() {
+		if d.Control {
 			f.isControl = true
 			p := m.BP.Predict(m.fetchPC, in)
 			f.predTaken = p.Taken
@@ -302,7 +200,7 @@ func (m *Machine) fetch() {
 			// Fault injection: invert a conditional branch's predicted
 			// direction. The target is static for conditional branches,
 			// so the flip is recoverable like any misprediction.
-			if in.Op.Info().Class == isa.ClassBranch && m.Chaos.FlipPrediction() {
+			if d.Class == isa.ClassBranch && m.Chaos.FlipPrediction() {
 				f.predTaken = !f.predTaken
 				if m.Tel != nil {
 					m.Tel.ChaosFlip(m.fetchPC)
@@ -314,7 +212,7 @@ func (m *Machine) fetch() {
 		}
 		m.fetchQ = append(m.fetchQ, f)
 		m.C.Fetches++
-		if in.Op == isa.OpHALT {
+		if d.Halt {
 			m.fetchHalted = true
 			return
 		}

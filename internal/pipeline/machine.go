@@ -103,28 +103,54 @@ type execEntry struct {
 	valF    float64
 }
 
-// stageScratch is the per-cycle working memory of writeback and issue.
+// stageScratch is the per-cycle working memory of writeback and issue. Both
+// stages visit ROB slots oldest first with an ageScan over a bitset.
 type stageScratch struct {
-	done []execEntry // completions this cycle
+	// done marks this cycle's completions by ROB slot, and result maps a
+	// marked slot to its completion.
+	done   []uint64
+	result []execEntry
 
-	// ready marks the select candidates by ROB slot, one bit each, and
-	// iqSlot maps a marked ROB slot back to its issue queue slot.
+	// ready marks the select candidates by ROB slot, and iqSlot maps a
+	// marked slot back to its issue queue slot.
 	ready  []uint64
 	iqSlot []int32
 }
 
-// fit sizes the select bitset and slot map for a ROB of robSize entries,
-// reusing the buffers when they are large enough.
+// fit sizes the bitsets and slot maps for a ROB of robSize entries, reusing
+// the buffers when they are large enough.
 func (s *stageScratch) fit(robSize int) {
 	words := (robSize + 63) / 64
-	if cap(s.ready) < words {
-		s.ready = make([]uint64, words)
+	s.done = fitSlice(s.done, words)
+	s.result = fitSlice(s.result, robSize)
+	s.ready = fitSlice(s.ready, words)
+	s.iqSlot = fitSlice(s.iqSlot, robSize)
+}
+
+func fitSlice[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
 	}
-	s.ready = s.ready[:words]
-	if cap(s.iqSlot) < robSize {
-		s.iqSlot = make([]int32, robSize)
+	return b[:n]
+}
+
+// collect marks the entries of execQ that complete by cycle now in done and
+// result, and returns the others, compacted in place, with the number of
+// completions. Every entry names a distinct live ROB slot: a recovery drops
+// the squashed ones from execQ.
+func (s *stageScratch) collect(execQ []execEntry, now uint64) ([]execEntry, int) {
+	clear(s.done)
+	kept, n := execQ[:0], 0
+	for _, e := range execQ {
+		if e.done > now {
+			kept = append(kept, e)
+			continue
+		}
+		s.done[e.robSlot>>6] |= 1 << (e.robSlot & 63)
+		s.result[e.robSlot] = e
+		n++
 	}
-	s.iqSlot = s.iqSlot[:robSize]
+	return kept, n
 }
 
 // Machine is one simulated processor instance bound to a program.
@@ -268,7 +294,6 @@ func New(cfg Config, p *prog.Program) *Machine {
 		m.fetchQ = make([]fetched, 0, cfg.FetchQueueSize)
 		m.decodeLat = make([]fetched, 0, cfg.DecodeWidth)
 		m.execQ = make([]execEntry, 0, cfg.IQSize)
-		m.scratch.done = make([]execEntry, 0, cfg.IQSize)
 	}
 	m.scratch.fit(cfg.ROBSize)
 	return m

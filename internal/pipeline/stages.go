@@ -1,13 +1,12 @@
 package pipeline
 
 import (
-	"cmp"
 	"math/bits"
-	"slices"
 
 	"reuseiq/internal/core"
 	"reuseiq/internal/isa"
 	"reuseiq/internal/lsq"
+	"reuseiq/internal/prog"
 	"reuseiq/internal/rob"
 )
 
@@ -51,18 +50,19 @@ func (m *Machine) commit() {
 			}
 		}
 		if h.IsStore {
-			e := m.commitStore()
+			e := m.commitStore(h)
 			c.StoreAddr, c.StoreI, c.StoreF = e.Addr, e.DataI, e.DataF
+			m.LSQ.PopHead()
 		}
 		if h.IsLoad {
-			e := m.LSQ.PopHead()
-			c.LoadAddr = e.Addr
+			c.LoadAddr = m.LSQ.Head().Addr
+			m.LSQ.PopHead()
 		}
 		if h.HasDest {
 			m.RF.Release(h.Dest.Kind, h.OldPhys)
 		}
-		cls := h.Inst.Op.Info().Class
-		if cls == isa.ClassBranch {
+		d := m.Prog.At(h.PC)
+		if d.Class == isa.ClassBranch {
 			m.C.BranchesCommitted++
 			if h.ActTaken {
 				m.C.TakenCommitted++
@@ -71,7 +71,7 @@ func (m *Machine) commit() {
 		// Train the predictor with correct-path outcomes. Code Reuse
 		// gates prediction lookups (paper §2.3) but commit-side updates
 		// continue, keeping the tables warm for the loop exit.
-		if h.Inst.Op.IsControl() {
+		if d.Control {
 			m.BP.Update(h.PC, h.Inst, h.ActTaken, h.ActTarget)
 		}
 		switch {
@@ -103,15 +103,14 @@ func (m *Machine) commit() {
 	}
 }
 
-// commitStore writes the ROB head's store to architectural memory and the
-// data cache, returning the drained LSQ entry (address and data) for the
-// OnCommit record.
-func (m *Machine) commitStore() lsq.Entry {
-	e := m.LSQ.PopHead()
+// commitStore writes the ROB head h's store to architectural memory and the
+// data cache, returning its LSQ entry, the queue's head, for the OnCommit
+// record. The caller pops the entry.
+func (m *Machine) commitStore(h *rob.Entry) *lsq.Entry {
+	e := m.LSQ.Head()
 	if !e.IsStore || !e.AddrReady {
 		panic("pipeline: committing store with unresolved LSQ head")
 	}
-	h := m.ROB.Head()
 	switch h.Inst.Op {
 	case isa.OpSW:
 		m.Mem.WriteI32(e.Addr, e.DataI)
@@ -131,59 +130,56 @@ func (m *Machine) commitStore() lsq.Entry {
 
 //reuse:hotpath
 func (m *Machine) writeback() {
-	// Collect completions for this cycle in program order; older results
-	// must write back (and possibly trigger recovery) before younger ones.
-	done := m.scratch.done[:0]
-	kept := m.execQ[:0]
-	for _, e := range m.execQ {
-		if e.done <= m.cycle {
-			done = append(done, e)
-		} else {
-			kept = append(kept, e)
+	// Complete this cycle's results oldest first: an older result must
+	// write back, and possibly trigger a recovery, before younger ones.
+	var n int
+	m.execQ, n = m.scratch.collect(m.execQ, m.cycle)
+	if n == 0 {
+		return
+	}
+	scan := newAgeScan(m.scratch.done, m.ROB.HeadSlot())
+	for rs := scan.next(); rs >= 0; rs = scan.next() {
+		if m.complete(&m.scratch.result[rs]) {
+			// The recovery squashed every younger instruction, and
+			// every slot left to visit is younger.
+			return
 		}
 	}
-	m.execQ = kept
-	m.scratch.done = done
-	slices.SortFunc(done, func(a, b execEntry) int { return cmp.Compare(a.seq, b.seq) })
+}
 
-	// barrier guards against completions squashed by a recovery triggered
-	// earlier in this same batch (their execQ entries were already drained
-	// into done, so the recovery-time filter cannot catch them).
-	barrier := ^uint64(0)
-	for _, e := range done {
-		if e.seq > barrier {
-			continue
-		}
-		r := m.ROB.Get(e.robSlot)
-		if r.Seq != e.seq {
-			continue // squashed while in flight
-		}
-		if r.HasDest {
-			if r.Dest.Kind == isa.KindFP {
-				m.RF.WriteFP(r.NewPhys, e.valF)
-			} else {
-				m.RF.WriteInt(r.NewPhys, e.valI)
-			}
-			// Result-tag broadcast wakes up issue queue consumers. The
-			// counters charge the CAM compare across all live entries the
-			// hardware would perform; Wake only touches true dependents.
-			m.C.WakeupBroadcasts++
-			m.C.WakeupOccupancySum += uint64(m.IQ.Len())
-			m.IQ.Wake(r.Dest.Kind, r.NewPhys)
-		}
-		r.Done = true
-		if r.Seq < m.telSeq {
-			//reuse:allow-unguarded telSeq is nonzero only after AttachTelemetry caches Tel's cap
-			m.Tel.InstComplete(r.Seq, r.PC)
-		}
-		if r.Inst.Op.IsControl() {
-			r.Mispred = r.ActTarget != predictedNextPC(r)
-			if r.Mispred {
-				m.recover(r)
-				barrier = r.Seq
-			}
-		}
+// complete writes back one result and reports whether it was a mispredicted
+// control instruction, which recovers.
+func (m *Machine) complete(x *execEntry) bool {
+	r := m.ROB.Get(x.robSlot)
+	if r.Seq != x.seq {
+		return false // squashed while in flight
 	}
+	if r.HasDest {
+		if r.Dest.Kind == isa.KindFP {
+			m.RF.WriteFP(r.NewPhys, x.valF)
+		} else {
+			m.RF.WriteInt(r.NewPhys, x.valI)
+		}
+		// Result-tag broadcast wakes up issue queue consumers. The
+		// counters charge the CAM compare across all live entries the
+		// hardware would perform; Wake only touches true dependents.
+		m.C.WakeupBroadcasts++
+		m.C.WakeupOccupancySum += uint64(m.IQ.Len())
+		m.IQ.Wake(r.Dest.Kind, r.NewPhys)
+	}
+	r.Done = true
+	if r.Seq < m.telSeq {
+		//reuse:allow-unguarded telSeq is nonzero only after AttachTelemetry caches Tel's cap
+		m.Tel.InstComplete(r.Seq, r.PC)
+	}
+	if !m.Prog.At(r.PC).Control {
+		return false
+	}
+	r.Mispred = r.ActTarget != predictedNextPC(r)
+	if r.Mispred {
+		m.recover(r)
+	}
+	return r.Mispred
 }
 
 // predictedNextPC returns the next PC the front end followed after this
@@ -353,11 +349,10 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 	// MarkIssued frees a conventional entry's slot, so everything needed
 	// after it is read into locals first.
 	e := m.IQ.Entry(slot)
-	op := e.Inst.Op
-	cls := op.Info().Class
+	d := m.Prog.At(e.PC)
 
 	// Loads: conservative disambiguation before consuming a port.
-	if cls == isa.ClassLoad {
+	if d.Class == isa.ClassLoad {
 		if !gate.known {
 			gate.bound, gate.known = m.LSQ.OldestUnresolvedStore(), true
 		}
@@ -367,24 +362,22 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 		}
 	}
 
-	if !m.FUs.Available(op, m.cycle) {
+	unit := m.FUs.Free(d.Timing.Kind, m.cycle)
+	if unit < 0 {
 		return false
 	}
 
 	var r isa.Result
-	var lat int
+	lat := d.Timing.Latency
 	var valI int32
 	var valF float64
-	switch cls {
+	switch d.Class {
 	case isa.ClassLoad:
 		// A load needs only its effective address: read its one source,
 		// the base register, and skip the full evaluation.
 		addr := isa.EffAddr(e.Inst, m.RF.ReadInt(e.SrcPhys[0]))
-		res, dI, dF := m.LSQ.SearchForLoad(e.LSQSlot, addr, memSize(op))
+		res, dI, dF := m.LSQ.SearchForLoad(e.LSQSlot, addr, d.MemSize)
 		if res == lsq.MustWait {
-			return false
-		}
-		if _, ok := m.FUs.TryIssue(op, m.cycle); !ok {
 			return false
 		}
 		le := m.LSQ.Get(e.LSQSlot)
@@ -393,16 +386,13 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 		le.Done = true
 		if res == lsq.Forwarded {
 			lat = 2 // address generation + bypass
-			valI, valF = applyLoadSemantics(op, dI, dF)
+			valI, valF = applyLoadSemantics(e.Inst.Op, dI, dF)
 		} else {
 			lat = 1 + m.Hier.AccessData(addr, false)
-			valI, valF = m.loadFromMemory(op, addr)
+			valI, valF = m.loadFromMemory(e.Inst.Op, addr)
 		}
 	case isa.ClassStore:
-		r = m.eval(e)
-		if _, ok := m.FUs.TryIssue(op, m.cycle); !ok {
-			return false
-		}
+		r = m.eval(e, d)
 		le := m.LSQ.Get(e.LSQSlot)
 		le.AddrReady = true
 		le.Addr = r.Addr
@@ -410,20 +400,15 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 		le.DataI = r.StoreI
 		le.DataF = r.StoreF
 		le.Done = true
-		lat = 1
 		// A younger load later in this pass must see the resolved address.
 		if le.Seq == gate.bound {
 			gate.known = false
 		}
 	default:
-		r = m.eval(e)
-		l, ok := m.FUs.TryIssue(op, m.cycle)
-		if !ok {
-			return false
-		}
-		lat = l
+		r = m.eval(e, d)
 		valI, valF = r.I, r.F
 	}
+	m.FUs.Book(&d.Timing, unit, m.cycle)
 	// Fault injection: inflate the result latency, modeling a slow unit.
 	if j := m.Chaos.Jitter(); j > 0 {
 		lat += j
@@ -435,7 +420,7 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 	// Record control resolution in the ROB for the writeback check.
 	re := m.ROB.Get(e.ROBSlot)
 	re.IssueCycle = m.cycle
-	if op.IsControl() {
+	if d.Control {
 		re.ActTaken = r.Taken
 		if r.Taken {
 			re.ActTarget = r.Target
@@ -458,39 +443,24 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 }
 
 // eval reads the entry's operands from the physical register file and
-// evaluates the instruction.
-func (m *Machine) eval(e *core.Entry) isa.Result {
+// evaluates the instruction. Its sources are rs then rt (d.Src), so a lone
+// source is rt when the instruction reads no rs.
+func (m *Machine) eval(e *core.Entry, d *prog.Predecoded) isa.Result {
 	ops := isa.Operands{PC: e.PC}
-	info := e.Inst.Op.Info()
-	srcIdx := 0
-	if info.ReadsRs {
-		if info.RsFP {
-			ops.FA = m.RF.ReadFP(e.SrcPhys[srcIdx])
-		} else {
-			ops.A = m.RF.ReadInt(e.SrcPhys[srcIdx])
-		}
-		srcIdx++
-	}
-	if info.ReadsRt {
-		if info.RtFP {
-			ops.FB = m.RF.ReadFP(e.SrcPhys[srcIdx])
-		} else {
-			ops.B = m.RF.ReadInt(e.SrcPhys[srcIdx])
+	for s := 0; s < e.NumSrc; s++ {
+		p := e.SrcPhys[s]
+		switch rt := s == 1 || !d.ReadsRs; {
+		case d.Src[s].Kind == isa.KindFP && rt:
+			ops.FB = m.RF.ReadFP(p)
+		case d.Src[s].Kind == isa.KindFP:
+			ops.FA = m.RF.ReadFP(p)
+		case rt:
+			ops.B = m.RF.ReadInt(p)
+		default:
+			ops.A = m.RF.ReadInt(p)
 		}
 	}
 	return isa.Eval(e.Inst, ops)
-}
-
-func memSize(op isa.Op) uint8 {
-	switch op {
-	case isa.OpLB, isa.OpLBU, isa.OpSB:
-		return 1
-	case isa.OpLH, isa.OpLHU, isa.OpSH:
-		return 2
-	case isa.OpLD, isa.OpSD:
-		return 8
-	}
-	return 4
 }
 
 // applyLoadSemantics narrows a forwarded store value the way the load would

@@ -72,19 +72,22 @@ func (r *ROB) Full() bool { return r.count == len(r.ring) }
 // Empty reports whether the buffer holds no instructions.
 func (r *ROB) Empty() bool { return r.count == 0 }
 
-// Alloc appends e at the tail and returns its stable slot index.
+// Alloc appends a zeroed entry at the tail and returns its stable slot and
+// the entry, for the caller to fill in place. It returns nil when the
+// buffer is full.
 //
 //reuse:hotpath
-func (r *ROB) Alloc(e Entry) (int, bool) {
+func (r *ROB) Alloc() (int, *Entry) {
 	if r.Full() {
-		return 0, false
+		return 0, nil
 	}
 	slot := (r.head + r.count) % len(r.ring)
-	r.ring[slot] = e
+	e := &r.ring[slot]
+	*e = Entry{}
 	r.used[slot] = true
 	r.count++
 	r.Allocs++
-	return slot, true
+	return slot, e
 }
 
 // Get returns the entry in the given slot.
@@ -102,17 +105,15 @@ func (r *ROB) Head() *Entry {
 // from it, wrapping at the end of the ring.
 func (r *ROB) HeadSlot() int { return r.head }
 
-// PopHead retires the oldest entry.
-func (r *ROB) PopHead() Entry {
+// PopHead retires the oldest entry; read it through Head first.
+func (r *ROB) PopHead() {
 	if r.count == 0 {
 		panic("rob: pop of empty buffer")
 	}
-	e := r.ring[r.head]
 	r.used[r.head] = false
 	r.head = (r.head + 1) % len(r.ring)
 	r.count--
 	r.Commits++
-	return e
 }
 
 // SquashAfter removes every entry with Seq > seq and returns them youngest
