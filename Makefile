@@ -87,15 +87,16 @@ fuzz:
 # of any watched benchmark. Regenerate the baseline with bench-baseline after
 # an intentional perf change — on the same machine, so deltas mean something.
 # BenchmarkKernelStep runs the paper kernels: the gate watches aps at IQ 256
-# (LSQ-heavy at the largest queue), btrix at IQ 64 and btrix at IQ 32 (the
-# longest runs; at IQ 32 dispatch and decode weigh most). go test matches
-# each level of a name on its own, and a top-level benchmark without
-# sub-benchmarks does not run under a multi-level pattern, so the kernels
-# take a second invocation; it also runs aps at IQ 32 and 64 and btrix at
-# IQ 256, which are recorded but not watched.
+# and 128 (LSQ-heavy at the largest queues, where most loads park behind
+# stores), btrix at IQ 64 and btrix at IQ 32 (the longest runs; at IQ 32
+# dispatch and decode weigh most). go test matches each level of a name on
+# its own, and a top-level benchmark without sub-benchmarks does not run
+# under a multi-level pattern, so the kernels take a second invocation; it
+# also runs aps at IQ 32 and 64 and btrix at IQ 128 and 256, which are
+# recorded but not watched.
 BENCH_RE        = ^(BenchmarkSimulatorSpeed|BenchmarkFlightRecorder)$$
-BENCH_KERNEL_RE = ^BenchmarkKernelStep$$/^(aps|btrix)$$/^iq(32|64|256)$$
-BENCH_WATCH     = BenchmarkSimulatorSpeed,BenchmarkFlightRecorder/on,BenchmarkFlightRecorder/off,BenchmarkKernelStep/aps/iq256,BenchmarkKernelStep/btrix/iq64,BenchmarkKernelStep/btrix/iq32
+BENCH_KERNEL_RE = ^BenchmarkKernelStep$$/^(aps|btrix)$$/^iq(32|64|128|256)$$
+BENCH_WATCH     = BenchmarkSimulatorSpeed,BenchmarkFlightRecorder/on,BenchmarkFlightRecorder/off,BenchmarkKernelStep/aps/iq256,BenchmarkKernelStep/btrix/iq64,BenchmarkKernelStep/btrix/iq32,BenchmarkKernelStep/aps/iq128
 bench:
 	@mkdir -p bench
 	go test -run '^$$' -bench '$(BENCH_RE)' -benchmem -count 3 . | tee bench/latest.txt

@@ -175,7 +175,7 @@ func BenchmarkKernelStep(b *testing.B) {
 		if err != nil {
 			b.Fatalf("compile %s: %v", k.Name, err)
 		}
-		for _, iq := range []int{32, 64, 256} {
+		for _, iq := range []int{32, 64, 128, 256} {
 			b.Run(fmt.Sprintf("%s/iq%d", k.Name, iq), func(b *testing.B) {
 				cfg := pipeline.DefaultConfig().WithIQSize(iq)
 				var cycles uint64

@@ -87,7 +87,7 @@ func TestWaiverBudget(t *testing.T) {
 		"allow-nonexhaustive": 0,
 		"allow-unguarded":     3,
 		"nowire":              0,
-		"transient":           27,
+		"transient":           28,
 	}
 	for name, want := range budget {
 		if got := countWaivers(mod, name); got != want {

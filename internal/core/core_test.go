@@ -37,7 +37,7 @@ func isStore(e Entry) bool {
 }
 
 func TestQueueDispatchAndCapacity(t *testing.T) {
-	q := NewQueue(4)
+	q := NewQueue(4, 64)
 	for i := 0; i < 4; i++ {
 		if _, ok := dispatch(q, entry(uint64(i+1), false, false)); !ok {
 			t.Fatalf("dispatch %d failed", i)
@@ -52,7 +52,7 @@ func TestQueueDispatchAndCapacity(t *testing.T) {
 }
 
 func TestQueueIssueRemovesConventional(t *testing.T) {
-	q := NewQueue(4)
+	q := NewQueue(4, 64)
 	s1, _ := dispatch(q, entry(1, false, false))
 	s2, _ := dispatch(q, entry(2, false, false))
 	if removed := q.MarkIssued(s1); !removed {
@@ -71,7 +71,7 @@ func TestQueueIssueRemovesConventional(t *testing.T) {
 }
 
 func TestQueueIssueKeepsClassified(t *testing.T) {
-	q := NewQueue(4)
+	q := NewQueue(4, 64)
 	s, _ := dispatch(q, entry(1, true, false))
 	if removed := q.MarkIssued(s); removed {
 		t.Fatal("classified entry removed at issue")
@@ -82,7 +82,7 @@ func TestQueueIssueKeepsClassified(t *testing.T) {
 }
 
 func TestQueueSquashAfter(t *testing.T) {
-	q := NewQueue(8)
+	q := NewQueue(8, 64)
 	for i := 1; i <= 5; i++ {
 		dispatch(q, entry(uint64(i), false, false))
 	}
@@ -98,7 +98,7 @@ func TestQueueSquashAfter(t *testing.T) {
 }
 
 func TestQueueRevoke(t *testing.T) {
-	q := NewQueue(8)
+	q := NewQueue(8, 64)
 	dispatch(q, entry(1, false, false)) // conventional, stays
 	dispatch(q, entry(2, true, true))   // classified+issued: removed
 	dispatch(q, entry(3, true, false))  // classified live: declassified
@@ -119,7 +119,7 @@ func TestQueueRevoke(t *testing.T) {
 }
 
 func TestQueuePartialUpdate(t *testing.T) {
-	q := NewQueue(4)
+	q := NewQueue(4, 64)
 	e := entry(5, true, true)
 	e.Inst = isa.Inst{Op: isa.OpADDI, Rt: 2, Rs: 2, Imm: 1}
 	e.StaticTaken = true
@@ -139,7 +139,7 @@ func TestQueuePartialUpdate(t *testing.T) {
 }
 
 func TestQueueClassifiedSlots(t *testing.T) {
-	q := NewQueue(8)
+	q := NewQueue(8, 64)
 	dispatch(q, entry(1, false, false))
 	s2, _ := dispatch(q, entry(2, true, false))
 	dispatch(q, entry(3, false, false))
@@ -257,7 +257,7 @@ func feedLoop(c *Controller, head, tail uint32) DispatchInfo {
 }
 
 func newCtl(iqSize, nblt int) (*Controller, *Queue) {
-	q := NewQueue(iqSize)
+	q := NewQueue(iqSize, 64)
 	c := NewController(Config{Enabled: true, NBLTSize: nblt}, q)
 	return c, q
 }
@@ -517,7 +517,7 @@ func TestControllerRecoveryDuringBuffering(t *testing.T) {
 }
 
 func TestControllerDisabled(t *testing.T) {
-	q := NewQueue(16)
+	q := NewQueue(16, 64)
 	c := NewController(Config{Enabled: false}, q)
 	tail := uint32(base + 4*4)
 	info := c.OnDispatch(tail, branchAt(tail, base), true, base)
@@ -527,7 +527,7 @@ func TestControllerDisabled(t *testing.T) {
 }
 
 func TestControllerSingleIterationStrategy(t *testing.T) {
-	q := NewQueue(64)
+	q := NewQueue(64, 64)
 	c := NewController(Config{Enabled: true, NBLTSize: 8, Strategy: StrategySingle}, q)
 	head := uint32(base)
 	tail := uint32(base + 4*4)
@@ -538,5 +538,61 @@ func TestControllerSingleIterationStrategy(t *testing.T) {
 	}
 	if c.S.IterationsBuffered != 1 {
 		t.Errorf("iterations buffered = %d", c.S.IterationsBuffered)
+	}
+}
+
+// TestReadyByROBFollowsCandidates checks the select index: the candidates'
+// ROB slots are set and map back to their queue slots as entries become
+// ready, issue and leave; ImportState rebuilds the index from the image; and
+// an image in which two candidates name one ROB slot, or one names a slot
+// outside the ROB, is rejected.
+func TestReadyByROBFollowsCandidates(t *testing.T) {
+	const robSize = 100
+	want := func(q *Queue, bySlot map[int]int) {
+		t.Helper()
+		set := 0
+		for _, w := range q.ReadyByROB() {
+			for ; w != 0; w &= w - 1 {
+				set++
+			}
+		}
+		if set != len(bySlot) || len(q.ReadySlots()) != len(bySlot) {
+			t.Fatalf("index holds %d candidates, ready list %d, want %d", set, len(q.ReadySlots()), len(bySlot))
+		}
+		for rs, slot := range bySlot {
+			if q.ReadyByROB()[rs>>6]&(1<<(rs&63)) == 0 || q.ReadySlotAt(rs) != slot {
+				t.Fatalf("ROB slot %d: set=%v slot %d, want queue slot %d",
+					rs, q.ReadyByROB()[rs>>6]&(1<<(rs&63)) != 0, q.ReadySlotAt(rs), slot)
+			}
+		}
+	}
+	q := NewQueue(8, robSize)
+	add := func(seq uint64, rs int, ready bool) int {
+		e := entry(seq, false, false)
+		e.ROBSlot, e.NumSrc, e.SrcPhys[0], e.SrcReady[0] = rs, 1, 40+int(seq), ready
+		slot, _ := dispatch(q, e)
+		return slot
+	}
+	a := add(1, 97, true)
+	b := add(2, 99, false)
+	c := add(3, 3, true) // wrapped past the end of the ROB
+	want(q, map[int]int{97: a, 3: c})
+	q.Wake(isa.KindInt, 42)
+	want(q, map[int]int{97: a, 99: b, 3: c})
+	q.MarkIssued(a)
+	want(q, map[int]int{99: b, 3: c})
+
+	fresh := NewQueue(8, robSize)
+	if err := fresh.ImportState(q.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	want(fresh, map[int]int{99: b, 3: c})
+
+	for _, rs := range []int{3, robSize, -1} {
+		st := q.ExportState()
+		st.Slots[b].ROBSlot = rs
+		if err := NewQueue(8, robSize).ImportState(st); err == nil {
+			t.Errorf("image with a candidate naming ROB slot %d accepted", rs)
+		}
 	}
 }

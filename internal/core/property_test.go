@@ -19,7 +19,7 @@ type harness struct {
 }
 
 func newHarness(t *testing.T, iq int) *harness {
-	q := NewQueue(iq)
+	q := NewQueue(iq, 64)
 	c := NewController(Config{Enabled: true, NBLTSize: 8}, q)
 	return &harness{c: c, q: q, t: t}
 }

@@ -24,7 +24,8 @@
 // The Queue also maintains the simulator's wakeup index: per-physical-
 // register waiter lists built at dispatch and torn down at issue, squash and
 // revoke, so that a result broadcast (Wake) touches only true dependents and
-// the select logic (ReadySlots) never rescans the whole queue. The hardware
+// the select logic never rescans the whole queue: it scans the candidates'
+// ROB slots (ReadyByROB), kept beside the candidate list. The hardware
 // CAM's energy is still charged through WakeupBroadcasts/IssueCycleScans in
 // the pipeline; the index only removes the *software* O(entries) scan.
 package core
@@ -108,9 +109,13 @@ type Queue struct {
 	classDirty bool
 
 	// readySlots is the select logic's candidate set: valid, unissued
-	// entries with every source ready. Unordered (swap-remove order); the
-	// pipeline orders it by age through the entries' ROB slots.
+	// entries with every source ready. Unordered (swap-remove order, which
+	// the snapshot image carries); byROB orders it by age.
 	readySlots []int32
+
+	// byROB indexes readySlots by the candidates' ROB slots.
+	//reuse:transient derived from readySlots and the entries' ROB slots; ImportState rebuilds it
+	byROB robIndex
 
 	// Wakeup index: one doubly-linked waiter list per physical register,
 	// with intrusive nodes 2*slot+src. Head slices grow on demand to the
@@ -132,10 +137,26 @@ type Queue struct {
 	SelectScans    uint64 // entries examined by the select logic
 }
 
-// NewQueue creates an issue queue with the given capacity.
-func NewQueue(size int) *Queue {
-	if size <= 0 {
-		panic(fmt.Sprintf("core: queue size %d", size))
+// robIndex is the select candidates keyed by ROB slot. A candidate is
+// unissued, so it names its own in-flight ROB slot, and no two candidates
+// share one: scanning the bitset from the ROB head visits them oldest first.
+type robIndex struct {
+	ready []uint64 // bit r is set when the candidate naming ROB slot r is ready
+	slot  []int32  // ROB slot -> queue slot, meaningful where ready is set
+}
+
+func (x *robIndex) add(rs int, slot int32) {
+	x.ready[rs>>6] |= 1 << (rs & 63)
+	x.slot[rs] = slot
+}
+
+func (x *robIndex) remove(rs int) { x.ready[rs>>6] &^= 1 << (rs & 63) }
+
+// NewQueue creates an issue queue with the given capacity, whose entries name
+// slots of a ROB of robSize entries.
+func NewQueue(size, robSize int) *Queue {
+	if size <= 0 || robSize <= 0 {
+		panic(fmt.Sprintf("core: queue size %d, ROB size %d", size, robSize))
 	}
 	q := &Queue{
 		size:  size,
@@ -146,6 +167,10 @@ func NewQueue(size int) *Queue {
 		wNext: make([]int32, 2*size),
 		wPrev: make([]int32, 2*size),
 		wReg:  make([]int32, 2*size),
+		byROB: robIndex{
+			ready: make([]uint64, (robSize+63)/64),
+			slot:  make([]int32, robSize),
+		},
 	}
 	for i := range q.st {
 		q.st[i].next = int32(i + 1)
@@ -397,12 +422,20 @@ func (q *Queue) Wake(kind isa.RegKind, phys int) {
 }
 
 // ReadySlots returns the current select candidates: slots of valid, unissued
-// entries whose sources are all ready. The slice is unordered (the pipeline
-// visits it oldest first by marking each entry's ROB slot) and reused across
-// cycles; callers must not retain or mutate it.
-//
-//reuse:hotpath
+// entries whose sources are all ready. The slice is unordered and reused
+// across cycles; callers must not retain or mutate it. Select visits the
+// same set oldest first through ReadyByROB.
 func (q *Queue) ReadySlots() []int32 { return q.readySlots }
+
+// ReadyByROB returns the select candidates as a bitset over ROB slots: bit r
+// is set when the candidate naming ROB slot r is ready, and ReadySlotAt(r)
+// is its queue slot. The queue keeps it current as entries become ready,
+// issue and leave; callers must not mutate it.
+func (q *Queue) ReadyByROB() []uint64 { return q.byROB.ready }
+
+// ReadySlotAt returns the queue slot of the candidate naming ROB slot rs,
+// which ReadyByROB must have set.
+func (q *Queue) ReadySlotAt(rs int) int { return int(q.byROB.slot[rs]) }
 
 func (q *Queue) waitHeads(kind isa.RegKind) *[]int32 {
 	if kind == isa.KindFP {
@@ -449,6 +482,7 @@ func (q *Queue) addReady(slot int32) {
 	}
 	q.st[slot].readyPos = int32(len(q.readySlots))
 	q.readySlots = append(q.readySlots, slot)
+	q.byROB.add(q.slots[slot].ROBSlot, slot)
 }
 
 func (q *Queue) removeReady(slot int32) {
@@ -462,6 +496,7 @@ func (q *Queue) removeReady(slot int32) {
 	q.st[moved].readyPos = pos
 	q.readySlots = q.readySlots[:last]
 	q.st[slot].readyPos = -1
+	q.byROB.remove(q.slots[slot].ROBSlot)
 }
 
 // --------------------------------------------------- pending-store index --

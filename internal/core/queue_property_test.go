@@ -265,7 +265,7 @@ func TestQueueMatchesCollapsingReference(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		size := 4 + rng.Intn(29)
-		l := &lockstep{t: t, q: NewQueue(size), ref: newRefQueue(size)}
+		l := &lockstep{t: t, q: NewQueue(size, 64), ref: newRefQueue(size)}
 		for step := 0; step < 600; step++ {
 			switch rng.Intn(12) {
 			case 0, 1, 2, 3, 4: // dispatch
@@ -331,7 +331,7 @@ func TestQueueMatchesCollapsingReference(t *testing.T) {
 // counterpart in the collapsing reference beyond clearing pending state.
 func TestQueueStoreResolutionLockstep(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	l := &lockstep{t: t, q: NewQueue(16), ref: newRefQueue(16)}
+	l := &lockstep{t: t, q: NewQueue(16, 64), ref: newRefQueue(16)}
 	for step := 0; step < 300; step++ {
 		if rng.Intn(2) == 0 && l.ref.Free() > 0 {
 			e := l.randomEntry(rng)

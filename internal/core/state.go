@@ -116,6 +116,10 @@ func (q *Queue) ImportState(st QueueState) error {
 	q.classSlots = append(q.classSlots[:0], st.ClassSlots...)
 	q.classDirty = st.ClassDirty
 	q.readySlots = append(q.readySlots[:0], st.ReadySlots...)
+	clear(q.byROB.ready)
+	for _, slot := range q.readySlots {
+		q.byROB.add(q.slots[slot].ROBSlot, slot)
+	}
 	copy(q.wNext, st.WNext)
 	copy(q.wPrev, st.WPrev)
 	copy(q.wReg, st.WReg)
@@ -206,6 +210,16 @@ func (q *Queue) validateState(st *QueueState) error {
 			return fmt.Errorf("core: queue state: readySlots[%d] = slot %d whose readyPos is %d",
 				pos, s, st.Meta[s].ReadyPos)
 		}
+	}
+	// Select indexes the candidates by ROB slot, so each must name its own.
+	robSeen := make([]bool, len(q.byROB.slot))
+	for pos, s := range st.ReadySlots {
+		rs := st.Slots[s].ROBSlot
+		if rs < 0 || rs >= len(robSeen) || robSeen[rs] {
+			return fmt.Errorf("core: queue state: readySlots[%d] = slot %d names ROB slot %d, out of range or taken",
+				pos, s, rs)
+		}
+		robSeen[rs] = true
 	}
 	for i, e := range st.Slots {
 		if e.NumSrc < 0 || e.NumSrc > 2 {

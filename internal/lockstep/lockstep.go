@@ -13,7 +13,8 @@
 //   - Checker validates per-cycle microarchitectural invariants: ROB
 //     sequence monotonicity, rename-map/free-list disjointness, LSQ age
 //     order, reuse-pointer unidirectionality (paper §2.3), the NBLT size
-//     bound, and classification-bit consistency.
+//     bound, classification-bit consistency, and the select stage's
+//     indexes: the ROB-ordered candidate bitset and the parked loads.
 //
 // Both attach to a pipeline.Machine through its OnCommit/OnCycle hooks and
 // stop the run at the first violation.
@@ -22,6 +23,7 @@ package lockstep
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"reuseiq/internal/core"
 	"reuseiq/internal/interp"
@@ -218,6 +220,12 @@ func (k *Checker) Check() error {
 	if state == core.Normal && classified > 0 {
 		return k.violateHead("controller is Normal but %d classified entries remain", classified)
 	}
+	if err := k.checkSelectIndex(); err != nil {
+		return err
+	}
+	if err := m.ParkedLoads(k.checkParked); err != nil {
+		return k.violateHead("parked loads: %v", err)
+	}
 
 	// Reuse-pointer unidirectionality (paper §2.3): during Code Reuse the
 	// pointer only advances, by exactly the number of re-renamed entries,
@@ -248,6 +256,85 @@ func (k *Checker) Check() error {
 		k.prevReuse = false
 	}
 	return nil
+}
+
+// checkSelectIndex requires the issue queue's ROB-ordered candidate bitset
+// to hold exactly the candidate list: each candidate's ROB slot is set and
+// maps back to it, and no other bit is set.
+func (k *Checker) checkSelectIndex() error {
+	q := k.m.IQ
+	ready := q.ReadySlots()
+	for _, slot := range ready {
+		e := q.Entry(int(slot))
+		rs := e.ROBSlot
+		if rs < 0 || rs >= k.m.ROB.Size() || q.ReadyByROB()[rs>>6]&(1<<(rs&63)) == 0 || q.ReadySlotAt(rs) != int(slot) {
+			return k.violatef(e.Seq, e.Inst.Disasm(e.PC),
+				"ready entry %d (ROB slot %d) is missing from the ROB-ordered select index", slot, rs)
+		}
+	}
+	set := 0
+	for _, w := range q.ReadyByROB() {
+		set += bits.OnesCount64(w)
+	}
+	if set != len(ready) {
+		return k.violateHead("ROB-ordered select index holds %d candidates, the ready list %d", set, len(ready))
+	}
+	return nil
+}
+
+// checkParked requires the load parked at ROB slot rs to be live, unissued
+// and ready, and the store in LSQ slot store to be the youngest older store
+// overlapping it, live, with a known address, and unable to forward to it:
+// exactly what a search would find again, so passing the load over loses
+// nothing.
+func (k *Checker) checkParked(rs, store int) error {
+	m := k.m
+	q := m.IQ
+	if rs >= m.ROB.Size() || q.ReadyByROB()[rs>>6]&(1<<(rs&63)) == 0 {
+		return fmt.Errorf("ROB slot %d is parked but holds no ready issue-queue entry", rs)
+	}
+	e := q.Entry(q.ReadySlotAt(rs))
+	d := m.Prog.At(e.PC)
+	if e.Issued || d.Class != isa.ClassLoad || !k.robHolds(rs, e.Seq) {
+		return fmt.Errorf("ROB slot %d is parked but holds seq %d %s, not a live unissued load",
+			rs, e.Seq, e.Inst.Disasm(e.PC))
+	}
+	l := m.LSQ
+	if !lsqHolds(l, store) || !lsqHolds(l, e.LSQSlot) {
+		return fmt.Errorf("load seq %d (LSQ slot %d) waits on LSQ slot %d, not both live", e.Seq, e.LSQSlot, store)
+	}
+	st := l.Get(store)
+	addr, size := isa.EffAddr(e.Inst, m.RF.PeekInt(e.SrcPhys[0])), uint32(d.MemSize)
+	if !st.IsStore || !st.AddrReady || st.Seq >= e.Seq || !overlaps(st.Addr, uint32(st.Size), addr, size) ||
+		(st.Addr == addr && uint32(st.Size) == size && st.DataReady) {
+		return fmt.Errorf("load seq %d at 0x%x/%d waits on LSQ slot %d (%+v), not an older overlapping store that cannot forward",
+			e.Seq, addr, size, store, *st)
+	}
+	for i := e.LSQSlot; ; {
+		if i == 0 {
+			i = l.Size()
+		}
+		if i--; i == store {
+			return nil
+		}
+		if o := l.Get(i); o.IsStore && (!o.AddrReady || overlaps(o.Addr, uint32(o.Size), addr, size)) {
+			return fmt.Errorf("load seq %d waits on LSQ slot %d, but the younger store seq %d in slot %d decides its search",
+				e.Seq, store, o.Seq, i)
+		}
+	}
+}
+
+// lsqHolds reports whether LSQ slot holds a live entry.
+func lsqHolds(l *lsq.LSQ, slot int) bool {
+	age := slot - l.HeadSlot()
+	if age < 0 {
+		age += l.Size()
+	}
+	return slot >= 0 && slot < l.Size() && age < l.Len()
+}
+
+func overlaps(a1, s1, a2, s2 uint32) bool {
+	return a1 < a2+s2 && a2 < a1+s1
 }
 
 // robHolds reports whether ROB slot holds the in-flight entry with seq.

@@ -82,6 +82,9 @@ func (q *LSQ) Alloc() (int, *Entry) {
 // Get returns the entry in slot.
 func (q *LSQ) Get(slot int) *Entry { return &q.ring[slot] }
 
+// HeadSlot returns the slot of the oldest entry.
+func (q *LSQ) HeadSlot() int { return q.head }
+
 // Head returns the oldest entry, or nil.
 func (q *LSQ) Head() *Entry {
 	if q.count == 0 {
@@ -164,11 +167,16 @@ const (
 // SearchForLoad performs the associative search of the load in slot against
 // older stores. The ring is in program order, so the older entries are
 // exactly those between the head and the load's slot; the scan visits them
-// youngest first and the first overlap decides. On Forwarded, dataI/dataF
-// carry the store's value.
+// youngest first and the first overlap decides. It returns the deciding
+// store's slot: on Forwarded the caller reads the value from that entry, and
+// on MustWait it names the overlapping store that cannot forward (-1 when an
+// older store's address is unknown, which the issue stage's store gate rules
+// out). That answer cannot change until the store issues (its data becomes
+// ready) or commits: every older store's address is known and stays put,
+// and no older store can appear later. FromMemory returns -1.
 //
 //reuse:hotpath
-func (q *LSQ) SearchForLoad(slot int, addr uint32, size uint8) (ForwardResult, int32, float64) {
+func (q *LSQ) SearchForLoad(slot int, addr uint32, size uint8) (ForwardResult, int) {
 	q.Searches++
 	for i := slot; i != q.head; {
 		if i == 0 {
@@ -180,18 +188,18 @@ func (q *LSQ) SearchForLoad(slot int, addr uint32, size uint8) (ForwardResult, i
 			continue
 		}
 		if !e.AddrReady {
-			return MustWait, 0, 0
+			return MustWait, -1
 		}
 		if !overlaps(e.Addr, uint32(e.Size), addr, uint32(size)) {
 			continue
 		}
 		if e.Addr == addr && e.Size == size && e.DataReady {
 			q.Forwards++
-			return Forwarded, e.DataI, e.DataF
+			return Forwarded, i
 		}
-		return MustWait, 0, 0
+		return MustWait, i
 	}
-	return FromMemory, 0, 0
+	return FromMemory, -1
 }
 
 func overlaps(a1, s1, a2, s2 uint32) bool {

@@ -77,9 +77,9 @@ func TestForwardExactMatch(t *testing.T) {
 	q := New(8)
 	push(q, store(1, 0x100, 4, 42, true))
 	ld := alloc(t, q, load(2, 4))
-	res, dI, _ := q.SearchForLoad(ld, 0x100, 4)
-	if res != Forwarded || dI != 42 {
-		t.Fatalf("res=%v dI=%d", res, dI)
+	res, st := q.SearchForLoad(ld, 0x100, 4)
+	if res != Forwarded || st != 0 || q.Get(st).DataI != 42 {
+		t.Fatalf("res=%v from store slot %d", res, st)
 	}
 	if q.Forwards != 1 {
 		t.Errorf("forwards = %d", q.Forwards)
@@ -91,9 +91,9 @@ func TestForwardYoungestOlderWins(t *testing.T) {
 	push(q, store(1, 0x100, 4, 1, true))
 	push(q, store(2, 0x100, 4, 2, true))
 	ld := alloc(t, q, load(3, 4))
-	res, dI, _ := q.SearchForLoad(ld, 0x100, 4)
-	if res != Forwarded || dI != 2 {
-		t.Fatalf("got %v %d, want the younger store's value 2", res, dI)
+	res, st := q.SearchForLoad(ld, 0x100, 4)
+	if res != Forwarded || st != 1 || q.Get(st).DataI != 2 {
+		t.Fatalf("got %v from store slot %d, want the younger store's value 2", res, st)
 	}
 }
 
@@ -101,9 +101,9 @@ func TestForwardIgnoresYoungerStores(t *testing.T) {
 	q := New(8)
 	ld := alloc(t, q, load(1, 4))
 	push(q, store(2, 0x100, 4, 9, true))
-	res, _, _ := q.SearchForLoad(ld, 0x100, 4)
-	if res != FromMemory {
-		t.Fatalf("res = %v, want FromMemory", res)
+	res, st := q.SearchForLoad(ld, 0x100, 4)
+	if res != FromMemory || st != -1 {
+		t.Fatalf("res = %v store %d, want FromMemory", res, st)
 	}
 }
 
@@ -111,9 +111,9 @@ func TestForwardNoOverlapGoesToMemory(t *testing.T) {
 	q := New(8)
 	push(q, store(1, 0x100, 4, 9, true))
 	ld := alloc(t, q, load(2, 4))
-	res, _, _ := q.SearchForLoad(ld, 0x104, 4)
-	if res != FromMemory {
-		t.Fatalf("res = %v", res)
+	res, st := q.SearchForLoad(ld, 0x104, 4)
+	if res != FromMemory || st != -1 {
+		t.Fatalf("res = %v store %d", res, st)
 	}
 }
 
@@ -121,12 +121,12 @@ func TestPartialOverlapMustWait(t *testing.T) {
 	q := New(8)
 	push(q, store(1, 0x100, 1, 0xff, true)) // byte store
 	ld := alloc(t, q, load(2, 4))
-	res, _, _ := q.SearchForLoad(ld, 0x100, 4) // word load overlapping the byte
-	if res != MustWait {
-		t.Fatalf("res = %v, want MustWait on size mismatch", res)
+	res, st := q.SearchForLoad(ld, 0x100, 4) // word load overlapping the byte
+	if res != MustWait || st != 0 {
+		t.Fatalf("res = %v store %d, want MustWait on the byte store's size mismatch", res, st)
 	}
 	// Byte load at a different offset within the same word: no overlap.
-	res, _, _ = q.SearchForLoad(ld, 0x101, 1)
+	res, _ = q.SearchForLoad(ld, 0x101, 1)
 	if res != FromMemory {
 		t.Fatalf("res = %v, want FromMemory for disjoint byte", res)
 	}
@@ -136,9 +136,9 @@ func TestUnresolvedOlderStoreMustWait(t *testing.T) {
 	q := New(8)
 	push(q, store(1, 0, 4, 0, false))
 	ld := alloc(t, q, load(2, 4))
-	res, _, _ := q.SearchForLoad(ld, 0x100, 4)
-	if res != MustWait {
-		t.Fatalf("res = %v", res)
+	res, st := q.SearchForLoad(ld, 0x100, 4)
+	if res != MustWait || st != -1 {
+		t.Fatalf("res = %v store %d, want MustWait naming no store", res, st)
 	}
 }
 
@@ -148,9 +148,9 @@ func TestFPForwarding(t *testing.T) {
 		AddrReady: true, DataReady: true, DataF: 2.5}
 	push(q, s)
 	ld := alloc(t, q, Entry{Seq: 2, Size: 8, IsFP: true})
-	res, _, dF := q.SearchForLoad(ld, 0x200, 8)
-	if res != Forwarded || dF != 2.5 {
-		t.Fatalf("res=%v dF=%v", res, dF)
+	res, st := q.SearchForLoad(ld, 0x200, 8)
+	if res != Forwarded || q.Get(st).DataF != 2.5 {
+		t.Fatalf("res=%v from store slot %d", res, st)
 	}
 }
 

@@ -30,27 +30,29 @@ func refOlderStoreAddrsKnown(q *LSQ, seq uint64) bool {
 }
 
 // refSearchForLoad is the original search: walk the whole queue from the
-// tail, skipping entries not older than the load's seq.
-func refSearchForLoad(q *LSQ, seq uint64, addr uint32, size uint8) (ForwardResult, int32, float64) {
+// tail, skipping entries not older than the load's seq. It returns the
+// deciding store's slot, -1 when none decides or its address is unknown.
+func refSearchForLoad(q *LSQ, seq uint64, addr uint32, size uint8) (ForwardResult, int) {
 	q.Searches++
 	for i := q.count - 1; i >= 0; i-- {
-		e := &q.ring[(q.head+i)%len(q.ring)]
+		slot := (q.head + i) % len(q.ring)
+		e := &q.ring[slot]
 		if e.Seq >= seq || !e.IsStore {
 			continue
 		}
 		if !e.AddrReady {
-			return MustWait, 0, 0
+			return MustWait, -1
 		}
 		if !overlaps(e.Addr, uint32(e.Size), addr, uint32(size)) {
 			continue
 		}
 		if e.Addr == addr && e.Size == size && e.DataReady {
 			q.Forwards++
-			return Forwarded, e.DataI, e.DataF
+			return Forwarded, slot
 		}
-		return MustWait, 0, 0
+		return MustWait, slot
 	}
-	return FromMemory, 0, 0
+	return FromMemory, -1
 }
 
 var accessSizes = []uint8{1, 2, 4, 8}
@@ -126,11 +128,11 @@ func TestSearchMatchesSeqScan(t *testing.T) {
 				return
 			}
 			addr, size := randomAccess(rng, q)
-			got, gotI, gotF := q.SearchForLoad(slot, addr, size)
-			want, wantI, wantF := refSearchForLoad(ref, e.Seq, addr, size)
-			if got != want || gotI != wantI || gotF != wantF {
-				t.Fatalf("trial %d: load seq %d slot %d access 0x%x/%d: got (%v %d %v), reference (%v %d %v)\n%+v",
-					trial, e.Seq, slot, addr, size, got, gotI, gotF, want, wantI, wantF, q.ExportState())
+			got, gotSt := q.SearchForLoad(slot, addr, size)
+			want, wantSt := refSearchForLoad(ref, e.Seq, addr, size)
+			if got != want || gotSt != wantSt {
+				t.Fatalf("trial %d: load seq %d slot %d access 0x%x/%d: got (%v store %d), reference (%v store %d)\n%+v",
+					trial, e.Seq, slot, addr, size, got, gotSt, want, wantSt, q.ExportState())
 			}
 			switch got {
 			case Forwarded:
@@ -306,11 +308,11 @@ func TestChecksMatchScansOverSequences(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					addr, size = randomAccess(rng, q)
 				}
-				got, gotI, gotF := q.SearchForLoad(slot, addr, size)
-				want, wantI, wantF := refSearchForLoad(ref, e.Seq, addr, size)
-				if got != want || gotI != wantI || gotF != wantF {
-					t.Fatalf("trial %d step %d: load seq %d slot %d access 0x%x/%d: got (%v %d %v), reference (%v %d %v)\n%+v",
-						trial, step, e.Seq, slot, addr, size, got, gotI, gotF, want, wantI, wantF, q.ExportState())
+				got, gotSt := q.SearchForLoad(slot, addr, size)
+				want, wantSt := refSearchForLoad(ref, e.Seq, addr, size)
+				if got != want || gotSt != wantSt {
+					t.Fatalf("trial %d step %d: load seq %d slot %d access 0x%x/%d: got (%v store %d), reference (%v store %d)\n%+v",
+						trial, step, e.Seq, slot, addr, size, got, gotSt, want, wantSt, q.ExportState())
 				}
 				switch got {
 				case Forwarded:

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"reuseiq/internal/altfe"
@@ -41,8 +42,10 @@ type Counters struct {
 	LoopCacheSupplies uint64 // fetches served by the prior-art loop cache
 
 	// WakeupBroadcasts counts result-tag broadcasts into the issue queue;
-	// WakeupOccupancySum accumulates queue occupancy at each broadcast so
-	// the power model can charge CAM energy proportional to live entries.
+	// the power model charges each one's CAM compare across every queue
+	// entry (WakeupBroadcasts × IQSize). WakeupOccupancySum accumulates the
+	// queue occupancy at each broadcast; no metric or power term reads it,
+	// only the snapshot image carries it.
 	WakeupBroadcasts    uint64
 	WakeupOccupancySum  uint64
 	IssueCycleScans     uint64 // occupancy examined by select logic, summed per cycle
@@ -103,28 +106,70 @@ type execEntry struct {
 	valF    float64
 }
 
-// stageScratch is the per-cycle working memory of writeback and issue. Both
-// stages visit ROB slots oldest first with an ageScan over a bitset.
+// stageScratch is the working memory of writeback and issue. Both stages
+// visit ROB slots oldest first with an ageScan over a bitset.
 type stageScratch struct {
 	// done marks this cycle's completions by ROB slot, and result maps a
 	// marked slot to its completion.
 	done   []uint64
 	result []execEntry
 
-	// ready marks the select candidates by ROB slot, and iqSlot maps a
-	// marked slot back to its issue queue slot.
-	ready  []uint64
-	iqSlot []int32
+	// parked marks, by ROB slot, the ready loads whose forwarding search
+	// last returned MustWait on a store that has since neither issued nor
+	// committed, so searching again would give the same answer; select
+	// passes over them. parkHead threads the loads parked on each store,
+	// by the store's LSQ slot, through parkNext (-1 ends a list).
+	parked   []uint64
+	parkHead []int32
+	parkNext []int32
+	nParked  int
 }
 
-// fit sizes the bitsets and slot maps for a ROB of robSize entries, reusing
-// the buffers when they are large enough.
-func (s *stageScratch) fit(robSize int) {
+// fit sizes the bitsets and slot maps for a ROB of robSize and an LSQ of
+// lsqSize entries, reusing the buffers when they are large enough, and
+// starts with no load parked.
+func (s *stageScratch) fit(robSize, lsqSize int) {
 	words := (robSize + 63) / 64
 	s.done = fitSlice(s.done, words)
 	s.result = fitSlice(s.result, robSize)
-	s.ready = fitSlice(s.ready, words)
-	s.iqSlot = fitSlice(s.iqSlot, robSize)
+	s.parked = fitSlice(s.parked, words)
+	s.parkHead = fitSlice(s.parkHead, lsqSize)
+	s.parkNext = fitSlice(s.parkNext, robSize)
+	s.unparkAll()
+}
+
+// park records that the load in ROB slot rs waits on the store in LSQ slot
+// store.
+func (s *stageScratch) park(rs, store int) {
+	s.parked[rs>>6] |= 1 << (rs & 63)
+	s.parkNext[rs] = s.parkHead[store]
+	s.parkHead[store] = int32(rs)
+	s.nParked++
+}
+
+// unpark releases the loads parked on the store in LSQ slot store, which
+// issued or committed. A select pass in progress (scan non-nil) visits those
+// it has not passed yet.
+func (s *stageScratch) unpark(store int, scan *ageScan) {
+	for rs := s.parkHead[store]; rs >= 0; rs = s.parkNext[rs] {
+		s.parked[rs>>6] &^= 1 << (rs & 63)
+		s.nParked--
+		if scan != nil {
+			scan.add(int(rs))
+		}
+	}
+	s.parkHead[store] = -1
+}
+
+// unparkAll releases every parked load. Releasing a load early is always
+// exact: it searches again when next visited, to the same answer and the
+// same charges, so the set may restart empty at any cycle boundary.
+func (s *stageScratch) unparkAll() {
+	clear(s.parked)
+	for i := range s.parkHead {
+		s.parkHead[i] = -1
+	}
+	s.nParked = 0
 }
 
 func fitSlice[T any](b []T, n int) []T {
@@ -181,7 +226,7 @@ type Machine struct {
 	fetchQ          []fetched
 	decodeLat       []fetched
 	execQ           []execEntry
-	//reuse:transient writeback and issue scratch; never live across a cycle boundary
+	//reuse:transient writeback scratch is dead between cycles; the parked-load set may start empty (load does), since an unparked load just searches again
 	scratch    stageScratch
 	halted     bool
 	lastCommit uint64
@@ -273,7 +318,7 @@ func New(cfg Config, p *prog.Program) *Machine {
 		LSQ:  lsq.New(cfg.LSQSize),
 		FUs:  fu.NewPool(cfg.FU),
 	}
-	m.IQ = core.NewQueue(cfg.IQSize)
+	m.IQ = core.NewQueue(cfg.IQSize, cfg.ROBSize)
 	m.Ctl = core.NewController(cfg.Reuse, m.IQ)
 	m.Chaos = chaos.New(cfg.Chaos)
 	if cfg.LoopCache != nil {
@@ -295,8 +340,38 @@ func New(cfg Config, p *prog.Program) *Machine {
 		m.decodeLat = make([]fetched, 0, cfg.DecodeWidth)
 		m.execQ = make([]execEntry, 0, cfg.IQSize)
 	}
-	m.scratch.fit(cfg.ROBSize)
+	m.scratch.fit(cfg.ROBSize, cfg.LSQSize)
 	return m
+}
+
+// ParkedLoads calls f for each load the select stage passes over, with its
+// ROB slot and the LSQ slot of the store it waits on, stopping at the first
+// error. It reports an error when the per-store lists and the bitset select
+// scans disagree. For the invariant checker.
+func (m *Machine) ParkedLoads(f func(rs, store int) error) error {
+	s := &m.scratch
+	listed := make([]bool, len(s.parkNext))
+	n := 0
+	for store, rs := range s.parkHead {
+		for ; rs >= 0; rs = s.parkNext[rs] {
+			if listed[rs] || s.parked[rs>>6]&(1<<(rs&63)) == 0 {
+				return fmt.Errorf("ROB slot %d is listed on LSQ slot %d but not marked parked, or listed twice", rs, store)
+			}
+			listed[rs] = true
+			n++
+			if err := f(int(rs), store); err != nil {
+				return err
+			}
+		}
+	}
+	marked := 0
+	for _, w := range s.parked {
+		marked += bits.OnesCount64(w)
+	}
+	if marked != n || s.nParked != n {
+		return fmt.Errorf("%d loads marked parked, %d listed on their stores, %d counted", marked, n, s.nParked)
+	}
+	return nil
 }
 
 // workspace holds a machine's reusable scratch buffers between runs.

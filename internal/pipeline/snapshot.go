@@ -8,8 +8,11 @@
 // Not part of the image, by design:
 //   - hooks (OnCommit, OnCycle, OnSample, Tel) — the restoring process
 //     re-attaches its own observers;
-//   - the per-cycle stage scratch (completions, select bitset) — dead
-//     between cycles.
+//   - the stage scratch: this cycle's completions are dead between cycles,
+//     and a restored machine starts with no load parked, so a load that was
+//     parked searches again, to the same answer and the same charges;
+//   - the issue queue's ROB-ordered candidate index, which ImportState
+//     rebuilds from the candidate list.
 package pipeline
 
 import (

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"reuseiq/internal/core"
+	"reuseiq/internal/fu"
 	"reuseiq/internal/isa"
 	"reuseiq/internal/lsq"
 	"reuseiq/internal/prog"
@@ -52,6 +53,7 @@ func (m *Machine) commit() {
 		if h.IsStore {
 			e := m.commitStore(h)
 			c.StoreAddr, c.StoreI, c.StoreF = e.Addr, e.DataI, e.DataF
+			m.scratch.unpark(m.LSQ.HeadSlot(), nil)
 			m.LSQ.PopHead()
 		}
 		if h.IsLoad {
@@ -137,7 +139,8 @@ func (m *Machine) writeback() {
 	if n == 0 {
 		return
 	}
-	scan := newAgeScan(m.scratch.done, m.ROB.HeadSlot())
+	var scan ageScan
+	scan.start(m.scratch.done, nil, m.ROB.HeadSlot())
 	for rs := scan.next(); rs >= 0; rs = scan.next() {
 		if m.complete(&m.scratch.result[rs]) {
 			// The recovery squashed every younger instruction, and
@@ -213,6 +216,7 @@ func (m *Machine) recover(e *rob.Entry) {
 	}
 	m.IQ.SquashAfter(e.Seq)
 	m.LSQ.SquashAfter(e.Seq)
+	m.scratch.unparkAll()
 	kept := m.execQ[:0]
 	for _, x := range m.execQ {
 		if x.seq <= e.Seq {
@@ -250,51 +254,90 @@ func (m *Machine) issue() {
 
 	m.resolveStoreAddresses()
 
-	// Select ready entries oldest first. A ready entry is unissued, so it
-	// names its own in-flight ROB slot, and the ROB ring is in program
-	// order from its head: marking the candidates' ROB slots in a bitset
-	// and scanning the bits from the head visits them by age, with no sort.
-	ready, iqSlot := m.scratch.ready, m.scratch.iqSlot
-	clear(ready)
-	for _, slot := range m.IQ.ReadySlots() {
-		rs := m.IQ.Entry(int(slot)).ROBSlot
-		ready[rs>>6] |= 1 << (rs & 63)
-		iqSlot[rs] = slot
-	}
-
+	// Select ready entries oldest first: the queue keeps its candidates in
+	// a bitset over ROB slots, and the ROB ring is in program order from
+	// its head. The scan passes over parked loads; memFree tracks whether
+	// the ones passed so far still owe their charge (chargeParked). Loads
+	// that park during the pass are behind the scan already.
 	var gate storeGate
-	scan := newAgeScan(ready, m.ROB.HeadSlot())
+	var scan ageScan
+	scan.start(m.IQ.ReadyByROB(), m.scratch.parked, m.ROB.HeadSlot())
+	memFree := m.scratch.nParked > 0 && m.FUs.Free(fu.MemPort, m.cycle) >= 0
 	for issued := 0; issued < m.Cfg.IssueWidth; {
 		rs := scan.next()
 		if rs < 0 {
+			if memFree {
+				m.chargeParked(scan.passed)
+			}
 			return
 		}
-		if m.tryIssueEntry(int(iqSlot[rs]), &gate) {
-			issued++
+		if !m.tryIssueEntry(m.IQ.ReadySlotAt(rs), &gate, &scan) {
+			continue
+		}
+		issued++
+		if memFree && (issued == m.Cfg.IssueWidth || m.FUs.Free(fu.MemPort, m.cycle) < 0) {
+			// The pass stops here, or no port is left for a parked load
+			// younger than rs to search with.
+			m.chargeParked(scan.passedBefore())
+			memFree = false
 		}
 	}
+}
+
+// chargeParked charges n parked loads that a select pass passed over while
+// a memory port was free, as the failed attempts they would have been: every
+// older store address was known when a load parked, so it would pass the
+// store gate, read its base register and search the LSQ again, to the same
+// MustWait. A pass books ports and never frees one, so the parked loads owed
+// a charge are those older than the issue that took the last free port, or
+// than the one that ended the pass at issue width, or all of them when the
+// candidates run out first.
+func (m *Machine) chargeParked(n int) {
+	m.RF.Reads += uint64(n)
+	m.LSQ.Searches += uint64(n)
 }
 
 // ageScan visits the set bits of a bitset over ROB slots oldest first: from
 // the head slot to the end of the ring, then from slot 0 up to the head. The
 // head's word is visited twice, first from the head up and last for the
-// slots below it.
+// slots below it. Bits also set in skip (nil for none) are passed over and
+// counted instead.
 type ageScan struct {
-	ready []uint64
-	wi    int    // current word
-	w     uint64 // current word's unvisited bits
-	below uint64 // the head word's bits below the head
-	left  int    // words still to load after the current one
+	ready, skip []uint64
+	wi          int    // current word
+	w           uint64 // current word's unvisited bits
+	s           uint64 // current word's skipped bits
+	below       uint64 // the head word's bits below the head
+	left        int    // words still to load after the current one
+	cur         int    // the slot last returned
+	passed      int    // skipped bits in the words already left behind
 }
 
-func newAgeScan(ready []uint64, head int) ageScan {
-	wi, below := head>>6, uint64(1)<<(head&63)-1
-	return ageScan{ready: ready, wi: wi, w: ready[wi] &^ below, below: below, left: len(ready)}
+// start begins a scan of ready from the ROB head, skipping skip. It sets
+// the fields in place: copying a whole scan in or out costs more than the
+// scan of a sparse cycle.
+func (s *ageScan) start(ready, skip []uint64, head int) {
+	s.ready, s.skip = ready, skip
+	s.wi, s.below, s.left = head>>6, uint64(1)<<(head&63)-1, len(ready)
+	s.s, s.passed = 0, 0
+	s.load(^s.below)
 }
 
-// next returns the next set slot, or -1 when every set bit has been visited.
+// load reads the current word, restricted to mask.
+func (s *ageScan) load(mask uint64) {
+	s.w = s.ready[s.wi] & mask
+	if s.skip != nil {
+		s.s = s.w & s.skip[s.wi]
+		s.w &^= s.s
+	}
+}
+
+// next returns the next set slot not skipped, or -1 when every set bit has
+// been visited; then passed counts every skipped bit.
 func (s *ageScan) next() int {
 	for s.w == 0 {
+		s.passed += bits.OnesCount64(s.s)
+		s.s = 0
 		if s.left == 0 {
 			return -1
 		}
@@ -302,14 +345,33 @@ func (s *ageScan) next() int {
 		if s.wi++; s.wi == len(s.ready) {
 			s.wi = 0
 		}
-		s.w = s.ready[s.wi]
+		mask := ^uint64(0)
 		if s.left == 0 {
-			s.w &= s.below
+			mask = s.below
 		}
+		s.load(mask)
 	}
-	rs := s.wi<<6 | bits.TrailingZeros64(s.w)
+	s.cur = s.wi<<6 | bits.TrailingZeros64(s.w)
 	s.w &= s.w - 1
-	return rs
+	return s.cur
+}
+
+// passedBefore returns the number of skipped bits older than the slot next
+// last returned.
+func (s *ageScan) passedBefore() int {
+	return s.passed + bits.OnesCount64(s.s&(uint64(1)<<(s.cur&63)-1))
+}
+
+// add makes slot rs, whose skip bit was just cleared, a slot this scan
+// visits. rs must be younger than the slot next last returned: in a later
+// word, the scan reads the cleared bit when it loads that word; in the
+// current word, it moves from the skipped bits to the unvisited ones.
+func (s *ageScan) add(rs int) {
+	if rs>>6 == s.wi && rs > s.cur {
+		bit := uint64(1) << (rs & 63)
+		s.w |= bit
+		s.s &^= bit
+	}
 }
 
 // resolveStoreAddresses performs store address generation separately from
@@ -342,8 +404,9 @@ func (m *Machine) resolveStoreAddresses() {
 // tryIssueEntry attempts to issue the queue entry in slot. It reports
 // whether the instruction issued (conventional entries are then removed;
 // classified entries stay with their issue state bit set). gate carries the
-// select pass's store-address bound across candidates.
-func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
+// select pass's store-address bound across candidates; scan is the pass,
+// which visits the loads an issuing store unparks.
+func (m *Machine) tryIssueEntry(slot int, gate *storeGate, scan *ageScan) bool {
 	// Slots are stable, so the entry can be read in place (a value copy
 	// would be forced onto the heap by the debug path taking its address).
 	// MarkIssued frees a conventional entry's slot, so everything needed
@@ -376,8 +439,11 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 		// A load needs only its effective address: read its one source,
 		// the base register, and skip the full evaluation.
 		addr := isa.EffAddr(e.Inst, m.RF.ReadInt(e.SrcPhys[0]))
-		res, dI, dF := m.LSQ.SearchForLoad(e.LSQSlot, addr, d.MemSize)
+		res, st := m.LSQ.SearchForLoad(e.LSQSlot, addr, d.MemSize)
 		if res == lsq.MustWait {
+			if st >= 0 {
+				m.scratch.park(e.ROBSlot, st)
+			}
 			return false
 		}
 		le := m.LSQ.Get(e.LSQSlot)
@@ -386,7 +452,8 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 		le.Done = true
 		if res == lsq.Forwarded {
 			lat = 2 // address generation + bypass
-			valI, valF = applyLoadSemantics(e.Inst.Op, dI, dF)
+			se := m.LSQ.Get(st)
+			valI, valF = applyLoadSemantics(e.Inst.Op, se.DataI, se.DataF)
 		} else {
 			lat = 1 + m.Hier.AccessData(addr, false)
 			valI, valF = m.loadFromMemory(e.Inst.Op, addr)
@@ -400,10 +467,12 @@ func (m *Machine) tryIssueEntry(slot int, gate *storeGate) bool {
 		le.DataI = r.StoreI
 		le.DataF = r.StoreF
 		le.Done = true
-		// A younger load later in this pass must see the resolved address.
+		// A younger load later in this pass must see the resolved address,
+		// and the loads parked on this store its data.
 		if le.Seq == gate.bound {
 			gate.known = false
 		}
+		m.scratch.unpark(e.LSQSlot, scan)
 	default:
 		r = m.eval(e, d)
 		valI, valF = r.I, r.F

@@ -1,7 +1,7 @@
 //go:build !race
 
 // The race detector slows a simulation about 15 times, which would make
-// these 32 full-kernel runs the longest test of a -race pass; plain
+// these 64 full-kernel runs the longest test of a -race pass; plain
 // `go test` exercises them.
 
 package reuseiq
@@ -21,8 +21,8 @@ import (
 	"reuseiq/internal/workloads"
 )
 
-// TestFigure5CounterPins simulates Figure 5's IQ-32 and IQ-64 cells, every
-// kernel with and without reuse, through the path reusesim drives
+// TestFigure5CounterPins simulates Figure 5's cells at all four queue sizes
+// (IQ 32, 64, 128 and 256), every kernel with and without reuse, through the path reusesim drives
 // (compiler.Compile, pipeline.New, Run, power.Analyze), and compares a
 // digest of each cell's counters and energy report with the benchmark's
 // pinned outcomes in perfbench/expected/cells.json. A change that only
@@ -44,7 +44,7 @@ func TestFigure5CounterPins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %s: %v", k.Name, err)
 		}
-		for _, iq := range []int{32, 64} {
+		for _, iq := range []int{32, 64, 128, 256} {
 			for _, reuse := range []bool{false, true} {
 				mode := "base"
 				if reuse {
