@@ -69,8 +69,9 @@ ckpt-check:
 report-check:
 	go run -race ./cmd/reportcheck
 
-# Coverage-guided fuzzing of the assembler (see internal/asm/fuzz_test.go)
-# and the snapshot decoder (internal/snapshot/fuzz_test.go). Fully offline:
+# Coverage-guided fuzzing of the assembler (see internal/asm/fuzz_test.go),
+# the snapshot decoder (internal/snapshot/fuzz_test.go) and the
+# flight-recorder manifest decoder (internal/flightrec/fuzz_test.go). Fully offline:
 # the module has no dependencies, so no network or vendor directory is
 # needed — the corpus seeds live in testdata. Override the budget with
 # make fuzz FUZZTIME=2m. The snapshot run caps input minimization: a binary
@@ -80,6 +81,7 @@ FUZZTIME ?= 30s
 fuzz:
 	go test -fuzz=FuzzAssemble -fuzztime=$(FUZZTIME) ./internal/asm/
 	go test -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/snapshot/
+	go test -fuzz=FuzzManifestDecode -fuzztime=$(FUZZTIME) ./internal/flightrec/
 
 # Perf-regression gate: run the hot-loop and flight-recorder benchmarks and
 # compare against the checked-in baseline with cmd/benchdiff (a benchstat

@@ -34,11 +34,9 @@ import (
 	"syscall"
 	"time"
 
-	"reuseiq/internal/chaos"
-	"reuseiq/internal/compiler"
+	"reuseiq/internal/cell"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/snapshot"
-	"reuseiq/internal/workloads"
 )
 
 func main() {
@@ -64,20 +62,16 @@ func main() {
 // run of the same configuration, comparing the final machines by their
 // serialized images.
 func lockstepSmoke() error {
-	k, ok := workloads.ByName("aps")
-	if !ok {
-		return fmt.Errorf("kernel aps missing")
-	}
-	p, _, err := compiler.Compile(k.Prog)
+	sp := cell.Spec{Kernel: "aps", IQSize: 32, Reuse: true, NBLTSize: cell.DefaultNBLT}
+	p, _, err := sp.Program()
 	if err != nil {
 		return err
 	}
 	for _, withChaos := range []bool{false, true} {
-		cfg := pipeline.DefaultConfig().WithIQSize(32)
-		cfg.Reuse.Enabled = true
 		if withChaos {
-			cfg.Chaos = chaos.DefaultConfig(7)
+			sp.ChaosSeed = 7
 		}
+		cfg := sp.Config()
 
 		straight := pipeline.New(cfg, p)
 		if err := straight.Run(); err != nil {
@@ -208,27 +202,19 @@ func crashDrill(argv []string, timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	seen := map[string]bool{}
+	seen := map[cell.Spec]bool{}
 	for _, line := range bytes.Split(data, []byte("\n")) {
 		if len(line) == 0 {
 			continue
 		}
-		var rec struct {
-			Kernel   string `json:"kernel"`
-			IQ       int    `json:"iq"`
-			Reuse    bool   `json:"reuse"`
-			Dist     bool   `json:"dist"`
-			Strategy int    `json:"strategy"`
-			NBLT     int    `json:"nblt"`
-		}
-		if err := json.Unmarshal(line, &rec); err != nil {
+		var sp cell.Spec
+		if err := json.Unmarshal(line, &sp); err != nil {
 			return fmt.Errorf("journal holds a malformed complete line: %v", err)
 		}
-		key := fmt.Sprintf("%s/%d/%v/%v/%d/%d", rec.Kernel, rec.IQ, rec.Reuse, rec.Dist, rec.Strategy, rec.NBLT)
-		if seen[key] {
-			return fmt.Errorf("cell %s recorded twice: a resumed sweep double-counted", key)
+		if seen[sp] {
+			return fmt.Errorf("cell %s recorded twice: a resumed sweep double-counted", sp.Name(cell.Label))
 		}
-		seen[key] = true
+		seen[sp] = true
 	}
 	return nil
 }

@@ -33,11 +33,10 @@ import (
 	"strings"
 	"time"
 
-	"reuseiq/internal/compiler"
+	"reuseiq/internal/cell"
 	"reuseiq/internal/obs"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/runstore"
-	"reuseiq/internal/workloads"
 )
 
 func main() {
@@ -73,15 +72,19 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	defer led.Close()
+	sp := cell.Spec{Kernel: *kernel, IQSize: 64, Reuse: true, NBLTSize: cell.DefaultNBLT}
+	p, _, err := sp.Program()
+	if err != nil {
+		return fail("%v", err)
+	}
 	for i := 0; i < 2; i++ {
 		start := time.Now()
-		m, err := simulate(*kernel)
-		if err != nil {
+		m := pipeline.New(sp.Config(), p)
+		if err := m.Run(); err != nil {
 			return fail("run %d: %v", i+1, err)
 		}
-		rec := runstore.FromMachine(m)
+		rec := runstore.FromMachine(sp, m)
 		rec.Kind = runstore.KindSim
-		rec.Kernel = *kernel
 		rec.Host.WallNS = time.Since(start).Nanoseconds()
 		if err := led.Append(&rec); err != nil {
 			return fail("append run %d: %v", i+1, err)
@@ -176,22 +179,6 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "reportcheck: /runs, /runs/{id} and /dashboard wire formats ok")
 	return 0
-}
-
-func simulate(kernel string) (*pipeline.Machine, error) {
-	k, ok := workloads.ByName(kernel)
-	if !ok {
-		return nil, fmt.Errorf("unknown kernel %q", kernel)
-	}
-	p, _, err := compiler.Compile(k.Prog)
-	if err != nil {
-		return nil, err
-	}
-	m := pipeline.New(pipeline.DefaultConfig(), p)
-	if err := m.Run(); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 func fetch(url string) ([]byte, error) {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"reuseiq/internal/cell"
 	"reuseiq/internal/runstore"
 )
 
@@ -23,7 +24,7 @@ func writeLedger(t *testing.T, drift bool) string {
 	defer led.Close()
 	mk := func(id, fp string, reuse bool, dispatches uint64, wall int64) runstore.Record {
 		return runstore.Record{
-			ID: id, Kind: runstore.KindSim, Kernel: "aps", IQSize: 64, Reuse: reuse,
+			ID: id, Kind: runstore.KindSim, Spec: cell.Spec{Kernel: "aps", IQSize: 64, Reuse: reuse},
 			Fingerprint: fp, Cycles: 1000, Commits: 1500, IPC: 1.5,
 			Metrics: runstore.Metrics{Counters: []runstore.Counter{
 				{Name: "iq.dispatches", Value: dispatches},

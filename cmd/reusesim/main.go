@@ -38,8 +38,7 @@ import (
 	"time"
 
 	"reuseiq/internal/asm"
-	"reuseiq/internal/chaos"
-	"reuseiq/internal/compiler"
+	"reuseiq/internal/cell"
 	"reuseiq/internal/flightrec"
 	"reuseiq/internal/lockstep"
 	"reuseiq/internal/obs"
@@ -49,7 +48,6 @@ import (
 	"reuseiq/internal/runstore"
 	"reuseiq/internal/telemetry"
 	"reuseiq/internal/trace"
-	"reuseiq/internal/workloads"
 )
 
 func main() {
@@ -58,8 +56,7 @@ func main() {
 
 // opts carries the parsed flags into run().
 type opts struct {
-	verify    bool
-	chaosSeed int64 // 0 disables injection
+	verify bool
 	// telemetry wants a tracer attached: any of -trace/-events/-sessions/
 	// -attrib/-listen, or the stats histograms when -stats is combined with
 	// them.
@@ -71,14 +68,14 @@ type opts struct {
 	sampleEvery uint64
 	stdout      io.Writer
 	stderr      io.Writer
-	// Flight recorder: frDir enables recording, frManifest carries the
-	// workload identity reusedbg needs to rebuild the machine.
-	frDir      string
-	frManifest flightrec.Manifest
+	// Flight recorder: frDir enables recording; frAsm is the assembly
+	// source a manifest carries when the workload is not a kernel.
+	frDir string
+	frAsm string
 	// ledger, non-nil with -ledger, receives one provenance-stamped record
 	// per completed simulation (both halves of -compare).
-	ledger     *runstore.Ledger
-	kernelName string
+	ledger  *runstore.Ledger
+	asmFile string // names the ledger record of an -asm run
 }
 
 // simStatus is the /status payload published with each sample.
@@ -147,6 +144,16 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if (*kernel == "") == (*asmFile == "") {
+		fmt.Fprintln(stderr, "reusesim: need exactly one of -kernel or -asm (try -kernel aps)")
+		return 2
+	}
+	sp := cell.Spec{Kernel: *kernel, IQSize: *iq, Reuse: !*baseline, Distributed: *distribute,
+		NBLTSize: cell.DefaultNBLT, ChaosSeed: *chaosFlag}
+	if err := sp.Validate(); err != nil {
+		fmt.Fprintln(stderr, "reusesim:", err)
+		return 2
+	}
 	if *flightrecDir != "" && (*compare || *pipetrace > 0) {
 		fmt.Fprintln(stderr, "reusesim: -flightrec records a single plain run, not -compare or -pipetrace")
 		return 2
@@ -167,16 +174,12 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 	}
 	o := &opts{
 		verify:     *verify,
-		chaosSeed:  *chaosFlag,
 		telemetry:  *traceOut != "" || *events != "" || *sessionsFlag || *attribFlag || *listen != "",
 		eventsPath: *events,
 		stdout:     stdout,
 		stderr:     stderr,
 		frDir:      *flightrecDir,
-		kernelName: *kernel,
-	}
-	if o.kernelName == "" && *asmFile != "" {
-		o.kernelName = filepath.Base(*asmFile)
+		asmFile:    *asmFile,
 	}
 	if *ledgerPath != "" {
 		led, err := runstore.Open(*ledgerPath)
@@ -235,23 +238,21 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	p, src, err := load(*kernel, *asmFile, *distribute)
+	var p *prog.Program
+	var src string
+	var err error
+	if *asmFile == "" {
+		p, src, err = sp.Program()
+	} else {
+		var data []byte
+		if data, err = os.ReadFile(*asmFile); err == nil {
+			src, o.frAsm = string(data), string(data)
+			p, err = asm.Assemble(src)
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "reusesim:", err)
 		return 1
-	}
-	if o.frDir != "" {
-		// The manifest lets reusedbg rebuild the exact config and program;
-		// run() fills Baseline, which is the one knob decided there.
-		o.frManifest = flightrec.Manifest{
-			Kernel:     *kernel,
-			Distribute: *distribute,
-			IQSize:     *iq,
-			ChaosSeed:  *chaosFlag,
-		}
-		if *kernel == "" {
-			o.frManifest.AsmSource = src
-		}
 	}
 	if *emitAsm {
 		fmt.Fprint(stdout, src)
@@ -263,12 +264,14 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *compare {
-		base, err := run(p, *iq, false, o)
+		sp.Reuse = false
+		base, err := run(p, sp, o)
 		if err != nil {
 			fmt.Fprintln(stderr, "reusesim:", err)
 			return 1
 		}
-		reuse, err := run(p, *iq, true, o)
+		sp.Reuse = true
+		reuse, err := run(p, sp, o)
 		if err != nil {
 			fmt.Fprintln(stderr, "reusesim:", err)
 			return 1
@@ -284,12 +287,7 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *pipetrace > 0 {
-		cfg := pipeline.DefaultConfig().WithIQSize(*iq)
-		cfg.Reuse.Enabled = !*baseline
-		if o.chaosSeed != 0 {
-			cfg.Chaos = chaos.DefaultConfig(o.chaosSeed)
-		}
-		m := pipeline.New(cfg, p)
+		m := pipeline.New(sp.Config(), p)
 		if o.verify {
 			lockstep.Attach(m, p)
 		}
@@ -313,7 +311,7 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	m, err := run(p, *iq, !*baseline, o)
+	m, err := run(p, sp, o)
 	if err != nil {
 		fmt.Fprintln(stderr, "reusesim:", err)
 		return 1
@@ -392,40 +390,10 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func load(kernel, asmFile string, distribute bool) (*prog.Program, string, error) {
-	switch {
-	case kernel != "" && asmFile != "":
-		return nil, "", fmt.Errorf("choose either -kernel or -asm")
-	case kernel != "":
-		k, ok := workloads.ByName(kernel)
-		if !ok {
-			return nil, "", fmt.Errorf("unknown kernel %q", kernel)
-		}
-		ir := k.Prog
-		if distribute {
-			ir = compiler.Distribute(ir)
-		}
-		return compiler.Compile(ir)
-	case asmFile != "":
-		src, err := os.ReadFile(asmFile)
-		if err != nil {
-			return nil, "", err
-		}
-		p, err := asm.Assemble(string(src))
-		return p, string(src), err
-	}
-	return nil, "", fmt.Errorf("need -kernel or -asm (try -kernel aps)")
-}
-
 // run simulates one configuration to completion and returns the machine.
-func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, error) {
+func run(p *prog.Program, sp cell.Spec, o *opts) (*pipeline.Machine, error) {
 	start := time.Now()
-	cfg := pipeline.DefaultConfig().WithIQSize(iq)
-	cfg.Reuse.Enabled = reuse
-	if o.chaosSeed != 0 {
-		cfg.Chaos = chaos.DefaultConfig(o.chaosSeed)
-	}
-	m := pipeline.New(cfg, p)
+	m := pipeline.New(sp.Config(), p)
 
 	var flushEvents func() error
 	if o.telemetry || o.eventsPath != "" {
@@ -461,10 +429,8 @@ func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, error
 	}
 	var rec *flightrec.Recorder
 	if o.frDir != "" {
-		man := o.frManifest
-		man.Baseline = !reuse
 		var err error
-		rec, err = flightrec.Attach(m, flightrec.Config{Dir: o.frDir, Manifest: man})
+		rec, err = flightrec.Attach(m, flightrec.Config{Dir: o.frDir, Manifest: flightrec.Manifest{Spec: sp, AsmSource: o.frAsm}})
 		if err != nil {
 			return nil, err
 		}
@@ -523,9 +489,11 @@ func run(p *prog.Program, iq int, reuse bool, o *opts) (*pipeline.Machine, error
 			c.ForcedRevokes, c.FlippedPredictions, c.FetchStalls, c.JitteredIssues)
 	}
 	if o.ledger != nil {
-		rec := runstore.FromMachine(m)
+		rec := runstore.FromMachine(sp, m)
 		rec.Kind = runstore.KindSim
-		rec.Kernel = o.kernelName
+		if o.asmFile != "" {
+			rec.Kernel = filepath.Base(o.asmFile)
+		}
 		rec.FlightRec = o.frDir != ""
 		rec.Verified = o.verify
 		rec.Host.WallNS = time.Since(start).Nanoseconds()

@@ -110,12 +110,35 @@ func TestHelpMentionsTelemetryFlags(t *testing.T) {
 	}
 }
 
+// Flags that name no buildable cell exit 2 with a one-line error before
+// anything is simulated or written.
 func TestBadFlagsExitNonzero(t *testing.T) {
-	if _, _, code := runMain(t, "-kernel", "nosuch"); code == 0 {
-		t.Error("unknown kernel exited 0")
+	dir := t.TempDir()
+	src := filepath.Join(dir, "loop.s")
+	if err := os.WriteFile(src, []byte("\thalt\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, code := runMain(t); code == 0 {
-		t.Error("no workload exited 0")
+	rec := filepath.Join(dir, "rec")
+	for _, args := range [][]string{
+		{"-kernel", "nosuch"},
+		{},
+		{"-kernel", "aps", "-asm", src},
+		{"-kernel", "tsf", "-iq", "0"},
+		{"-kernel", "tsf", "-iq", "-4"},
+		{"-kernel", "tsf", "-iq", "1"},
+		{"-asm", src, "-distribute"},
+		{"-asm", src, "-distribute", "-flightrec", rec},
+	} {
+		stdout, stderr, code := runMain(t, args...)
+		if code != 2 {
+			t.Errorf("%v: exit code %d, want 2", args, code)
+		}
+		if stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "reusesim: ") {
+			t.Errorf("%v: want one error line on stderr, got stdout %q stderr %q", args, stdout, stderr)
+		}
+	}
+	if _, err := os.Stat(rec); !os.IsNotExist(err) {
+		t.Errorf("a rejected -flightrec run left %s behind (%v)", rec, err)
 	}
 }
 

@@ -5,9 +5,7 @@ import (
 	"math"
 	"strings"
 
-	"reuseiq/internal/altfe"
-	"reuseiq/internal/mem"
-	"reuseiq/internal/pipeline"
+	"reuseiq/internal/cell"
 	"reuseiq/internal/power"
 )
 
@@ -46,26 +44,17 @@ func (s *Suite) CompareFrontEnds() (*FrontEndComparison, error) {
 		IPCDelta:    map[string][3]float64{},
 	}
 	// The prior-art front ends and their own instruction buffers.
-	alts := [2]func(*pipeline.Config){
-		func(c *pipeline.Config) { c.Mem.L0I = mem.DefaultFilterCache() },
-		func(c *pipeline.Config) { c.LoopCache = &altfe.LoopCacheConfig{Entries: 32} },
-	}
+	alts := [2]cell.FrontEnd{cell.FilterCache, cell.LoopCache}
 	buffers := [2]power.Component{power.FilterCache, power.LoopCacheBuf}
 	specs := pairSpecs(f.Kernels, iq)
 	if err := s.Prewarm(specs); err != nil {
 		return nil, err
 	}
-	// alt[i] runs kernel i/2 with front end alts[i%2].
+	// alt[i] runs kernel i/2's baseline with front end alts[i%2].
 	alt := make([]RunResult, 2*len(f.Kernels))
-	label := func(i int) string { return fmt.Sprintf("%s iq=%d %s", f.Kernels[i/2], iq, MechanismNames[i%2]) }
-	err := s.each(len(alt), label, func(i int) error {
-		mp, err := s.program(f.Kernels[i/2], false)
-		if err != nil {
-			return err
-		}
-		cfg := pipeline.BaselineConfig().WithIQSize(iq)
-		alts[i%2](&cfg)
-		alt[i], err = simulate(label(i), cfg, mp)
+	front := func(i int) Spec { sp := specs[i&^1]; sp.FrontEnd = alts[i%2]; return sp }
+	err := s.each(len(alt), func(i int) string { return front(i).Name(cell.Label) }, func(i int) (err error) {
+		alt[i], err = s.simulate(front(i))
 		return err
 	})
 	if err != nil {

@@ -30,7 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"reuseiq/internal/compiler"
+	"reuseiq/internal/cell"
 	"reuseiq/internal/core"
 	"reuseiq/internal/flightrec"
 	"reuseiq/internal/pipeline"
@@ -46,10 +46,8 @@ var DefaultSizes = []int{32, 64, 128, 256}
 
 // RunResult is the outcome of one simulation.
 type RunResult struct {
-	Kernel      string
-	IQSize      int
-	Reuse       bool
-	Distributed bool
+	// Spec is the normalized cell that ran.
+	Spec
 
 	Cycles  uint64
 	Commits uint64
@@ -82,20 +80,11 @@ type RunResult struct {
 // Failed reports whether this is a degraded partial result.
 func (r RunResult) Failed() bool { return r.Err != nil }
 
-type runKey struct {
-	kernel   string
-	iq       int
-	reuse    bool
-	dist     bool
-	strategy core.Strategy
-	nblt     int
-}
-
 // Suite runs and caches simulations.
 type Suite struct {
 	mu       sync.Mutex
-	programs map[string]*prog.Program // kernel(+dist) -> compiled image
-	results  map[runKey]RunResult
+	programs map[Spec]*prog.Program // Spec.ProgramID() -> compiled image
+	results  map[Spec]RunResult     // normalized Spec -> result
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
 	// Sabotage, when non-nil, marks specs that must fail: matching runs get
@@ -134,18 +123,6 @@ type Suite struct {
 	workersBusy atomic.Int64
 	runningMu   sync.Mutex
 	running     map[string]struct{} // labels of specs currently simulating
-}
-
-// specLabel renders a spec as a compact human label for SweepState.Running.
-func specLabel(sp Spec) string {
-	l := fmt.Sprintf("%s iq=%d", sp.Kernel, sp.IQSize)
-	if sp.Reuse {
-		l += " reuse"
-	}
-	if sp.Distributed {
-		l += " dist"
-	}
-	return l
 }
 
 // RegisterMetrics registers the suite's sweep-progress metrics with r, so a
@@ -206,69 +183,32 @@ func (s *Suite) markRunning(label string, on bool) {
 // NewSuite creates an empty suite.
 func NewSuite() *Suite {
 	return &Suite{
-		programs: map[string]*prog.Program{},
-		results:  map[runKey]RunResult{},
+		programs: map[Spec]*prog.Program{},
+		results:  map[Spec]RunResult{},
 	}
 }
 
-func (s *Suite) program(kernel string, dist bool) (*prog.Program, error) {
-	id := kernel
-	if dist {
-		id += "+dist"
-	}
+// Spec names one simulation; see cell.Spec.
+type Spec = cell.Spec
+
+// programOf returns the spec's compiled program, compiling it on first use
+// (a kernel compiles in about a millisecond, so under the lock).
+func (s *Suite) programOf(sp Spec) (*prog.Program, error) {
 	s.mu.Lock()
-	p, ok := s.programs[id]
-	s.mu.Unlock()
-	if ok {
-		return p, nil
+	defer s.mu.Unlock()
+	p, ok := s.programs[sp.ProgramID()]
+	if !ok {
+		var err error
+		if p, _, err = sp.Program(); err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", sp.Name(cell.Label), err)
+		}
+		s.programs[sp.ProgramID()] = p
 	}
-	k, ok2 := workloads.ByName(kernel)
-	if !ok2 {
-		return nil, fmt.Errorf("experiments: unknown kernel %q", kernel)
-	}
-	ir := k.Prog
-	if dist {
-		ir = compiler.Distribute(ir)
-	}
-	mp, _, err := compiler.Compile(ir)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: compile %s: %w", id, err)
-	}
-	s.mu.Lock()
-	s.programs[id] = mp
-	s.mu.Unlock()
-	return mp, nil
+	return p, nil
 }
 
-// Spec names one simulation.
-type Spec struct {
-	Kernel      string
-	IQSize      int
-	Reuse       bool
-	Distributed bool
-	Strategy    core.Strategy
-	NBLTSize    int // meaningful only when Reuse; -1 means default (8)
-}
-
-func (sp Spec) key() runKey {
-	nblt := sp.NBLTSize
-	if nblt < 0 {
-		nblt = 8
-	}
-	return runKey{sp.Kernel, sp.IQSize, sp.Reuse, sp.Distributed, sp.Strategy, nblt}
-}
-
-// config builds the spec's machine configuration. TestSpecConfigMatchesSectionConfigs
-// pins that the IQ-64 cells A3 and X1 read are the machines they compare.
-func (sp Spec) config() pipeline.Config {
-	cfg := pipeline.DefaultConfig().WithIQSize(sp.IQSize)
-	cfg.Reuse.Enabled = sp.Reuse
-	cfg.Reuse.Strategy = sp.Strategy
-	cfg.Reuse.NBLTSize = sp.key().nblt
-	return cfg
-}
-
-// Run executes (or returns the cached result of) one simulation.
+// Run executes (or returns the cached result of) one simulation. Results
+// are cached by the normalized spec the caller asked for.
 //
 // A simulation abort (watchdog deadlock, cycle budget) does not fail the
 // call: the run is retried once with a 4x cycle budget, and if it aborts
@@ -276,9 +216,9 @@ func (sp Spec) config() pipeline.Config {
 // nil error, so a figure sweep always completes with the failed cell marked.
 // A non-nil error means a setup problem (unknown kernel, compile failure).
 func (s *Suite) Run(sp Spec) (RunResult, error) {
-	k := sp.key()
+	sp = sp.Normalized()
 	s.mu.Lock()
-	if r, ok := s.results[k]; ok {
+	if r, ok := s.results[sp]; ok {
 		s.mu.Unlock()
 		return r, nil
 	}
@@ -286,13 +226,15 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 	s.mu.Unlock()
 	start := time.Now()
 
-	mp, err := s.program(sp.Kernel, sp.Distributed)
+	mp, err := s.programOf(sp)
 	if err != nil {
 		return RunResult{}, err
 	}
-	cfg := sp.config()
+	// run is the cell as simulated: Sabotage and the retry change only its
+	// cycle budget, never the cache, journal or ledger identity.
+	run := sp
 	if s.Sabotage != nil && s.Sabotage(sp) {
-		cfg.MaxCycles = 100
+		run.MaxCycles = 100
 	}
 
 	// With a journal attached, a previous (killed) attempt may have left a
@@ -301,41 +243,28 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 	// checkpoint silently falls back to a fresh machine.
 	var m *pipeline.Machine
 	if j != nil {
-		m = j.tryResume(k, cfg, mp)
+		m = j.tryResume(sp, run.Config(), mp)
 	}
 	if m == nil {
-		m = pipeline.New(cfg, mp)
+		m = pipeline.New(run.Config(), mp)
 	}
 	// attempt runs the machine once, with a flight recorder attached when
 	// the suite records. A recording that survives its run (the run
 	// aborted) is the cell's post-mortem artifact; healthy runs delete
 	// theirs so a long sweep leaves artifacts only where they matter.
 	var postMortem string
-	attempt := func(m *pipeline.Machine, cfg pipeline.Config, try int) error {
+	attempt := func(m *pipeline.Machine, try int) error {
 		var rec *flightrec.Recorder
 		dir := ""
 		if s.FlightRecDir != "" {
-			dir = filepath.Join(s.FlightRecDir, fmt.Sprintf("%s-iq%d-reuse%v-dist%v-s%d-n%d-try%d",
-				k.kernel, k.iq, k.reuse, k.dist, int(k.strategy), k.nblt, try))
+			dir = filepath.Join(s.FlightRecDir, fmt.Sprintf("%s-try%d", sp.Name(cell.RecorderDir), try))
 			var aerr error
-			rec, aerr = flightrec.Attach(m, flightrec.Config{
-				Dir: dir,
-				Manifest: flightrec.Manifest{
-					Kernel:     k.kernel,
-					Distribute: k.dist,
-					IQSize:     k.iq,
-					Baseline:   !k.reuse,
-					Strategy:   int(k.strategy),
-					NBLTSize:   k.nblt,
-					NBLTSet:    true,
-					MaxCycles:  cfg.MaxCycles,
-				},
-			})
+			rec, aerr = flightrec.Attach(m, flightrec.Config{Dir: dir, Manifest: flightrec.Manifest{Spec: run}})
 			if aerr != nil {
 				return aerr
 			}
 		}
-		err := runJournaled(j, k, m)
+		err := runJournaled(j, sp, m)
 		if rec != nil {
 			if ferr := rec.Finish(); ferr != nil && err == nil {
 				err = ferr
@@ -348,51 +277,45 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 		}
 		return err
 	}
-	runErr := attempt(m, cfg, 1)
+	runErr := attempt(m, 1)
 	retried := false
 	if runErr != nil {
 		// Retry once with a larger budget: a legitimate workload can
 		// outgrow the default cycle budget, and a wedged one fails again
 		// quickly via the watchdog.
 		retried = true
-		budget := cfg.MaxCycles
+		budget := run.MaxCycles
 		if budget == 0 {
 			budget = pipeline.DefaultMaxCycles
 		}
-		cfg.MaxCycles = 4 * budget
+		run.MaxCycles = 4 * budget
 		m.Release()
-		m = pipeline.New(cfg, mp)
-		if runErr = attempt(m, cfg, 2); runErr != nil {
-			runErr = fmt.Errorf("experiments: %s iq=%d reuse=%v (after retry): %w",
-				sp.Kernel, sp.IQSize, sp.Reuse, runErr)
+		m = pipeline.New(run.Config(), mp)
+		if runErr = attempt(m, 2); runErr != nil {
+			runErr = fmt.Errorf("experiments: %s (after retry): %w", sp.Name(cell.Label), runErr)
 		}
 	}
 	if runErr == nil {
 		postMortem = ""
 	}
 	r := RunResult{
-		Kernel:      sp.Kernel,
-		IQSize:      sp.IQSize,
-		Reuse:       sp.Reuse,
-		Distributed: sp.Distributed,
-		Cycles:      m.C.Cycles,
-		Commits:     m.C.Commits,
-		IPC:         m.IPC(),
-		Gated:       m.GatedFraction(),
-		Power:       power.Analyze(m),
-		Core:        m.Ctl.S,
-		Err:         runErr,
-		Retried:     retried,
-		FlightRec:   postMortem,
+		Spec:      sp,
+		Cycles:    m.C.Cycles,
+		Commits:   m.C.Commits,
+		IPC:       m.IPC(),
+		Gated:     m.GatedFraction(),
+		Power:     power.Analyze(m),
+		Core:      m.Ctl.S,
+		Err:       runErr,
+		Retried:   retried,
+		FlightRec: postMortem,
 	}
 	// Capture the ledger record while the machine is still live (Release
 	// pools its buffers). The ledger is nil-safe, but FromMachine walks the
 	// whole counter surface, so skip the work entirely when not recording.
 	if led != nil {
-		rec := runstore.FromMachine(m)
+		rec := runstore.FromMachine(sp, m)
 		rec.Kind = runstore.KindCell
-		rec.Kernel = sp.Kernel
-		rec.Distributed = sp.Distributed
 		rec.FlightRec = s.FlightRecDir != ""
 		rec.Retried = retried
 		if runErr != nil {
@@ -409,12 +332,12 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 	// back to the pool for the next sweep point.
 	m.Release()
 	s.mu.Lock()
-	s.results[k] = r
+	s.results[sp] = r
 	s.mu.Unlock()
 	if j != nil {
 		// Persist the finished cell before returning. A failed append means
 		// the sweep is no longer crash-safe, which is worth failing loudly.
-		if err := j.record(k, r); err != nil {
+		if err := j.record(r); err != nil {
 			return r, err
 		}
 	}
@@ -425,20 +348,25 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 func (s *Suite) cached(sp Spec) RunResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.results[sp.key()]
+	r, ok := s.results[sp.Normalized()]
 	if !ok {
-		panic("experiments: " + specLabel(sp) + " read before its Prewarm")
+		panic("experiments: " + sp.Name(cell.Label) + " read before its Prewarm")
 	}
 	return r
 }
 
-// simulate runs one machine outside the suite's cache (A3's unrolled code,
-// X1's alternate front ends) and keeps what those sections read.
-func simulate(label string, cfg pipeline.Config, mp *prog.Program) (RunResult, error) {
-	m := pipeline.New(cfg, mp)
+// simulate runs one cell outside the suite's cache and ledger (A3's
+// unrolled code, X1's alternate front ends) and keeps what those sections
+// read.
+func (s *Suite) simulate(sp Spec) (RunResult, error) {
+	mp, err := s.programOf(sp)
+	if err != nil {
+		return RunResult{}, err
+	}
+	m := pipeline.New(sp.Config(), mp)
 	defer m.Release()
 	if err := m.Run(); err != nil {
-		return RunResult{}, fmt.Errorf("experiments: %s: %w", label, err)
+		return RunResult{}, fmt.Errorf("experiments: %s: %w", sp.Name(cell.Label), err)
 	}
 	return RunResult{IPC: m.IPC(), Gated: m.GatedFraction(), Power: power.Analyze(m)}, nil
 }
@@ -471,12 +399,12 @@ func (s *Suite) AttachLedger(path string) (*runstore.Ledger, error) {
 // cycles; a checkpoint write failure is deliberately swallowed — it only
 // costs re-simulation after a crash, while aborting the run would turn a
 // transient I/O hiccup into a lost cell.
-func runJournaled(j *Journal, k runKey, m *pipeline.Machine) error {
+func runJournaled(j *Journal, sp Spec, m *pipeline.Machine) error {
 	if j == nil {
 		return m.Run()
 	}
 	return m.RunBreakable(j.interval(), func() bool {
-		_ = j.checkpoint(k, m)
+		_ = j.checkpoint(sp, m)
 		return false
 	})
 }
@@ -529,11 +457,11 @@ func (s *Suite) Prewarm(specs []Spec) error {
 	var done int
 	var progressMu sync.Mutex
 	s.specsTotal.Add(uint64(len(specs)))
-	return s.each(len(specs), func(i int) string { return specLabel(specs[i]) }, func(i int) error {
+	return s.each(len(specs), func(i int) string { return specs[i].Name(cell.Label) }, func(i int) error {
 		sp := specs[i]
 		r, err := s.Run(sp)
 		if err != nil {
-			err = fmt.Errorf("%s iq=%d reuse=%v: %w", sp.Kernel, sp.IQSize, sp.Reuse, err)
+			err = fmt.Errorf("%s: %w", sp.Name(cell.Label), err)
 		}
 		if err != nil || r.Failed() {
 			s.specsFailed.Add(1)
@@ -553,11 +481,9 @@ func (s *Suite) Prewarm(specs []Spec) error {
 // sweep (shared by Figures 5-8).
 func sweepSpecs(sizes []int) []Spec {
 	var specs []Spec
-	for _, k := range workloads.All() {
+	for _, k := range KernelNames() {
 		for _, iq := range sizes {
-			specs = append(specs,
-				Spec{Kernel: k.Name, IQSize: iq, Reuse: false, NBLTSize: -1},
-				Spec{Kernel: k.Name, IQSize: iq, Reuse: true, NBLTSize: -1})
+			specs = append(specs, pairSpecs([]string{k}, iq)...)
 		}
 	}
 	return specs

@@ -288,15 +288,6 @@ func TestSweepMetricsTrackPrewarm(t *testing.T) {
 	}
 }
 
-func TestSpecLabel(t *testing.T) {
-	if got := specLabel(Spec{Kernel: "adi", IQSize: 64, Reuse: true, Distributed: true}); got != "adi iq=64 reuse dist" {
-		t.Errorf("specLabel = %q", got)
-	}
-	if got := specLabel(Spec{Kernel: "wss", IQSize: 32}); got != "wss iq=32" {
-		t.Errorf("specLabel = %q", got)
-	}
-}
-
 // TestFlightRecPostMortem: with FlightRecDir set, a sabotaged cell leaves a
 // loadable post-mortem recording and reports its directory, while a healthy
 // cell cleans its recording up.

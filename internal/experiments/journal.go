@@ -26,9 +26,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
+	"reuseiq/internal/cell"
 	"reuseiq/internal/core"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/power"
@@ -44,15 +44,10 @@ const DefaultCheckpointEvery = 2_000_000
 // journalVersion guards the record schema.
 const journalVersion = 1
 
-// cellRecord is one journal line: the full run key plus the result.
+// cellRecord is one journal line: the cell's spec plus its result.
 type cellRecord struct {
-	V        int           `json:"v"`
-	Kernel   string        `json:"kernel"`
-	IQ       int           `json:"iq"`
-	Reuse    bool          `json:"reuse"`
-	Dist     bool          `json:"dist"`
-	Strategy core.Strategy `json:"strategy"`
-	NBLT     int           `json:"nblt"`
+	V int `json:"v"`
+	cell.Spec
 
 	Cycles  uint64       `json:"cycles"`
 	Commits uint64       `json:"commits"`
@@ -64,11 +59,9 @@ type cellRecord struct {
 	Retried bool         `json:"retried,omitempty"`
 }
 
-func recordOf(k runKey, r RunResult) cellRecord {
+func recordOf(r RunResult) cellRecord {
 	rec := cellRecord{
-		V:      journalVersion,
-		Kernel: k.kernel, IQ: k.iq, Reuse: k.reuse, Dist: k.dist,
-		Strategy: k.strategy, NBLT: k.nblt,
+		V: journalVersion, Spec: r.Spec,
 		Cycles: r.Cycles, Commits: r.Commits, IPC: r.IPC, Gated: r.Gated,
 		Power: r.Power, Core: r.Core, Retried: r.Retried,
 	}
@@ -78,13 +71,9 @@ func recordOf(k runKey, r RunResult) cellRecord {
 	return rec
 }
 
-func (rec cellRecord) key() runKey {
-	return runKey{rec.Kernel, rec.IQ, rec.Reuse, rec.Dist, rec.Strategy, rec.NBLT}
-}
-
 func (rec cellRecord) result() RunResult {
 	r := RunResult{
-		Kernel: rec.Kernel, IQSize: rec.IQ, Reuse: rec.Reuse, Distributed: rec.Dist,
+		Spec:   rec.Spec,
 		Cycles: rec.Cycles, Commits: rec.Commits, IPC: rec.IPC, Gated: rec.Gated,
 		Power: rec.Power, Core: rec.Core, Retried: rec.Retried,
 	}
@@ -165,7 +154,7 @@ func openJournal(path string, resume bool) (*Journal, []cellRecord, error) {
 
 	for _, rec := range recs {
 		// The cell is durably recorded; its mid-run checkpoint is stale.
-		os.Remove(j.ckptPath(rec.key()))
+		os.Remove(j.ckptPath(rec.Spec))
 	}
 	return j, recs, nil
 }
@@ -211,8 +200,8 @@ func (j *Journal) Close() error {
 
 // record appends the cell to the journal and its CSV mirror, fsyncs the
 // journal, and removes the cell's now-stale checkpoint.
-func (j *Journal) record(k runKey, r RunResult) error {
-	data, err := json.Marshal(recordOf(k, r))
+func (j *Journal) record(r RunResult) error {
+	data, err := json.Marshal(recordOf(r))
 	if err != nil {
 		return fmt.Errorf("experiments: journal: %w", err)
 	}
@@ -229,34 +218,23 @@ func (j *Journal) record(k runKey, r RunResult) error {
 		status = "fail"
 	}
 	fmt.Fprintf(j.csv, "%s,%d,%v,%v,%d,%d,%d,%d,%g,%g,%g,%v,%s\n",
-		k.kernel, k.iq, k.reuse, k.dist, k.strategy, k.nblt,
+		r.Kernel, r.IQSize, r.Reuse, r.Distributed, r.Strategy, r.NBLTSize,
 		r.Cycles, r.Commits, r.IPC, r.Gated, r.Power.Total(), r.Retried, status)
 	j.csv.Sync()
-	os.Remove(j.ckptPath(k))
+	os.Remove(j.ckptPath(r.Spec))
 	return nil
 }
 
 // ckptPath names the cell's checkpoint file.
-func (j *Journal) ckptPath(k runKey) string {
-	return filepath.Join(j.dir, fmt.Sprintf("%s_iq%d_r%v_d%v_s%d_n%d.ckpt",
-		sanitize(k.kernel), k.iq, k.reuse, k.dist, k.strategy, k.nblt))
-}
-
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		}
-		return '_'
-	}, s)
+func (j *Journal) ckptPath(sp cell.Spec) string {
+	return filepath.Join(j.dir, sp.Name(cell.CheckpointFile))
 }
 
 // checkpoint atomically writes the machine's state to the cell's checkpoint
 // file (tmp + fsync + rename). Failures must not stop the simulation — a
 // missing checkpoint only costs re-simulation after a crash — so callers
 // ignore the error or report it at most once and keep running.
-func (j *Journal) checkpoint(k runKey, m *pipeline.Machine) error {
+func (j *Journal) checkpoint(sp cell.Spec, m *pipeline.Machine) error {
 	tmp, err := os.CreateTemp(j.dir, "ckpt-*")
 	if err != nil {
 		return err
@@ -278,15 +256,15 @@ func (j *Journal) checkpoint(k runKey, m *pipeline.Machine) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), j.ckptPath(k))
+	return os.Rename(tmp.Name(), j.ckptPath(sp))
 }
 
 // tryResume restores the cell's checkpoint into a machine, or returns nil if
 // there is none or it is unusable (corrupt, truncated, or taken under a
 // different configuration — e.g. by a sabotaged or retried earlier attempt).
 // Unusable checkpoints are deleted so they are not retried forever.
-func (j *Journal) tryResume(k runKey, cfg pipeline.Config, p *prog.Program) *pipeline.Machine {
-	path := j.ckptPath(k)
+func (j *Journal) tryResume(sp cell.Spec, cfg pipeline.Config, p *prog.Program) *pipeline.Machine {
+	path := j.ckptPath(sp)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil
@@ -315,7 +293,7 @@ func (s *Suite) AttachJournal(path string, resume bool) (*Journal, int, error) {
 	}
 	s.mu.Lock()
 	for _, rec := range recs {
-		s.results[rec.key()] = rec.result()
+		s.results[rec.Spec] = rec.result()
 	}
 	s.journal = j
 	s.mu.Unlock()

@@ -105,8 +105,8 @@ func TestJournalSeedsCacheWithoutSimulating(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := Spec{Kernel: "no-such-kernel", IQSize: 48, Reuse: true, NBLTSize: -1}
-	fake := RunResult{Kernel: sp.Kernel, IQSize: sp.IQSize, Reuse: true, Cycles: 12345, Commits: 678, IPC: 1.5}
-	if err := j.record(sp.key(), fake); err != nil {
+	fake := RunResult{Spec: sp.Normalized(), Cycles: 12345, Commits: 678, IPC: 1.5}
+	if err := j.record(fake); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -135,7 +135,7 @@ func TestJournalFreshRefusesExistingRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.record(runKey{kernel: "x", iq: 32, nblt: 8}, RunResult{}); err != nil {
+	if err := j.record(RunResult{Spec: Spec{Kernel: "x", IQSize: 32, NBLTSize: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -150,8 +150,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := runKey{kernel: "x", iq: 32, nblt: 8}
-	if err := j.record(k, RunResult{Kernel: "x", IQSize: 32, Cycles: 99}); err != nil {
+	if err := j.record(RunResult{Spec: Spec{Kernel: "x", IQSize: 32, NBLTSize: 8}, Cycles: 99}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -185,7 +184,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Errorf("torn tail not truncated: %d bytes, want %d", st.Size(), good.Size())
 	}
 	// Appending after the truncation must yield a well-formed log again.
-	if err := j2.record(runKey{kernel: "z", iq: 64, nblt: 8}, RunResult{}); err != nil {
+	if err := j2.record(RunResult{Spec: Spec{Kernel: "z", IQSize: 64, NBLTSize: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := countRecords(t, path); len(got) != 2 {
@@ -219,15 +218,6 @@ func TestJournalVersionMismatch(t *testing.T) {
 	}
 }
 
-// runCfg mirrors Suite.Run's configuration derivation for a spec.
-func runCfg(sp Spec) pipeline.Config {
-	cfg := pipeline.DefaultConfig().WithIQSize(sp.IQSize)
-	cfg.Reuse.Enabled = sp.Reuse
-	cfg.Reuse.Strategy = sp.Strategy
-	cfg.Reuse.NBLTSize = sp.key().nblt
-	return cfg
-}
-
 // TestJournalCheckpointMidCellResume pins the mid-cell path deterministically:
 // a cell is checkpointed partway, the checkpoint restores, and a suite that
 // resumes from it produces exactly the result of an uninterrupted run.
@@ -236,8 +226,8 @@ func TestJournalCheckpointMidCellResume(t *testing.T) {
 		t.Skip("full simulations")
 	}
 	sp := Spec{Kernel: "tsf", IQSize: 32, Reuse: true, NBLTSize: -1}
-	k := sp.key()
-	cfg := runCfg(sp)
+	k := sp.Normalized()
+	cfg := sp.Config()
 
 	straight := NewSuite()
 	want, err := straight.Run(sp)
@@ -253,7 +243,7 @@ func TestJournalCheckpointMidCellResume(t *testing.T) {
 	j.Close()
 
 	// Plant a genuine mid-run checkpoint, as a killed sweep would leave.
-	mp, err := NewSuite().program(sp.Kernel, sp.Distributed)
+	mp, err := NewSuite().programOf(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +296,7 @@ func TestJournalBadCheckpointDegrades(t *testing.T) {
 		t.Skip("full simulations")
 	}
 	sp := Spec{Kernel: "aps", IQSize: 32, Reuse: true, NBLTSize: -1}
-	k := sp.key()
+	k := sp.Normalized()
 
 	straight := NewSuite()
 	want, err := straight.Run(sp)
@@ -317,11 +307,11 @@ func TestJournalBadCheckpointDegrades(t *testing.T) {
 	plantMismatched := func(t *testing.T, j *Journal) {
 		// A checkpoint from a different IQ size: fingerprint must reject it.
 		other := Spec{Kernel: "aps", IQSize: 64, Reuse: true, NBLTSize: -1}
-		mp, err := NewSuite().program(other.Kernel, other.Distributed)
+		mp, err := NewSuite().programOf(other)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := pipeline.New(runCfg(other), mp)
+		m := pipeline.New(other.Config(), mp)
 		if err := m.RunBreakable(500, func() bool { return true }); !errors.Is(err, pipeline.ErrStopped) {
 			t.Fatalf("mid-run stop: %v", err)
 		}
@@ -341,11 +331,11 @@ func TestJournalBadCheckpointDegrades(t *testing.T) {
 			}
 		}},
 		{"truncated", func(t *testing.T, j *Journal) {
-			mp, err := NewSuite().program(sp.Kernel, sp.Distributed)
+			mp, err := NewSuite().programOf(sp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := pipeline.New(runCfg(sp), mp)
+			m := pipeline.New(sp.Config(), mp)
 			if err := m.RunBreakable(500, func() bool { return true }); !errors.Is(err, pipeline.ErrStopped) {
 				t.Fatalf("mid-run stop: %v", err)
 			}
@@ -497,12 +487,12 @@ func TestCrashResumeKill9(t *testing.T) {
 	if len(final) != len(childSpecs()) {
 		t.Fatalf("journal holds %d records for %d specs", len(final), len(childSpecs()))
 	}
-	seen := map[runKey]bool{}
+	seen := map[Spec]bool{}
 	for _, rec := range final {
-		if seen[rec.key()] {
-			t.Errorf("cell %+v recorded twice", rec.key())
+		if seen[rec.Spec] {
+			t.Errorf("cell %+v recorded twice", rec.Spec)
 		}
-		seen[rec.key()] = true
+		seen[rec.Spec] = true
 	}
 }
 

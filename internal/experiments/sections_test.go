@@ -6,42 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"reuseiq/internal/pipeline"
 )
-
-// TestSpecConfigMatchesSectionConfigs pins the assumption that lets A3 and X1
-// read their baseline and reuse runs from the suite: the suite's IQ-64 cells
-// are built exactly like the configurations those sections used to build
-// for themselves. If either side changes, this fails instead of A3 or X1
-// silently comparing against a different machine.
-func TestSpecConfigMatchesSectionConfigs(t *testing.T) {
-	x1Reuse := pipeline.BaselineConfig().WithIQSize(64)
-	x1Reuse.Reuse.Enabled = true
-	x1Reuse.Reuse.NBLTSize = 8
-	base := Spec{Kernel: "adi", IQSize: 64, NBLTSize: -1}
-	reuse := Spec{Kernel: "adi", IQSize: 64, Reuse: true, NBLTSize: -1}
-	for _, tc := range []struct {
-		name string
-		sp   Spec
-		want pipeline.Config
-	}{
-		{"A3/X1 baseline", base, pipeline.BaselineConfig().WithIQSize(64)},
-		{"A3 reuse", reuse, pipeline.DefaultConfig().WithIQSize(64)},
-		{"X1 reuse-iq", reuse, x1Reuse},
-		{"NBLT 8 is the default", Spec{Kernel: "adi", IQSize: 64, Reuse: true, NBLTSize: 8}, x1Reuse},
-	} {
-		if got := tc.sp.config(); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: Spec%+v.config() = %+v, want %+v", tc.name, tc.sp, got, tc.want)
-		}
-	}
-}
 
 // TestEachRunsEveryIndexOnce checks the suite's worker pool: every index runs
 // exactly once, at most Parallelism at a time, every error is joined, and

@@ -6,10 +6,8 @@ import (
 	"slices"
 	"strings"
 
-	"reuseiq/internal/compiler"
+	"reuseiq/internal/cell"
 	"reuseiq/internal/power"
-	"reuseiq/internal/prog"
-	"reuseiq/internal/workloads"
 )
 
 // UnrollAblation (A3) contrasts the paper's *hardware* loop unrolling
@@ -36,23 +34,14 @@ func (s *Suite) AblationUnroll(factor int) (*UnrollAblation, error) {
 	const iq = 64
 	a := &UnrollAblation{Kernels: KernelNames(), Factor: factor}
 	specs := pairSpecs(a.Kernels, iq)
-	progs := make([]*prog.Program, len(a.Kernels))
-	for i, k := range a.Kernels {
-		w, _ := workloads.ByName(k)
-		mp, _, err := compiler.Compile(compiler.Unroll(w.Prog, factor))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: unroll %s: %w", k, err)
-		}
-		progs[i] = mp
-	}
 	if err := s.Prewarm(specs); err != nil {
 		return nil, err
 	}
 	// unrolled[i] runs specs[i]'s configuration on the unrolled code.
 	unrolled := make([]RunResult, len(specs))
-	label := func(i int) string { return fmt.Sprintf("%s unroll%d", specLabel(specs[i]), factor) }
-	err := s.each(len(specs), label, func(i int) (err error) {
-		unrolled[i], err = simulate(label(i), specs[i].config(), progs[i/2])
+	unroll := func(i int) Spec { sp := specs[i]; sp.Unroll = factor; return sp }
+	err := s.each(len(specs), func(i int) string { return unroll(i).Name(cell.Label) }, func(i int) (err error) {
+		unrolled[i], err = s.simulate(unroll(i))
 		return err
 	})
 	if err != nil {

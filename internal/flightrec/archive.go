@@ -2,6 +2,7 @@ package flightrec
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,38 +10,23 @@ import (
 	"sort"
 
 	"reuseiq/internal/asm"
-	"reuseiq/internal/chaos"
-	"reuseiq/internal/compiler"
-	"reuseiq/internal/core"
+	"reuseiq/internal/cell"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/prog"
 	"reuseiq/internal/snapshot"
 	"reuseiq/internal/telemetry"
-	"reuseiq/internal/workloads"
 )
 
-// Manifest is the persisted description of a recording: enough workload
-// identity to rebuild the exact machine configuration and program cold, plus
+// Manifest is the persisted description of a recording: the cell that ran,
+// enough to rebuild the exact machine configuration and program cold, plus
 // the run's outcome. The config/program hashes let Load verify the
-// reconstruction before any replay trusts it. The workload fields mirror the
-// knobs reusesim and the experiment suite actually vary. Manifests written
-// before seeks became replays also carry "interval" and "depth"; decoding
-// ignores them.
+// reconstruction before any replay trusts it. Manifests written before seeks
+// became replays also carry "interval" and "depth"; decoding ignores them.
 type Manifest struct {
-	// Workload identity: either a named kernel (optionally distributed) or
-	// inline assembly source.
-	Kernel     string `json:"kernel,omitempty"`
-	AsmSource  string `json:"asm_source,omitempty"`
-	Distribute bool   `json:"distribute,omitempty"`
-
-	// Config knobs (zero values mean "default").
-	IQSize    int    `json:"iq_size,omitempty"`
-	Baseline  bool   `json:"baseline,omitempty"`
-	Strategy  int    `json:"strategy,omitempty"`
-	NBLTSize  int    `json:"nblt_size,omitempty"`
-	NBLTSet   bool   `json:"nblt_set,omitempty"` // NBLTSize is explicit even when 0 (NBLT disabled)
-	MaxCycles uint64 `json:"max_cycles,omitempty"`
-	ChaosSeed int64  `json:"chaos_seed,omitempty"`
+	// Workload identity. The program is the spec's kernel, or AsmSource
+	// when the spec names none.
+	cell.Spec
+	AsmSource string `json:"asm_source,omitempty"`
 
 	// Outcome, stamped by Recorder.Finish.
 	FinalCycle uint64 `json:"final_cycle"`
@@ -52,46 +38,44 @@ type Manifest struct {
 	ProgramHash string `json:"program_hash,omitempty"`
 }
 
-// Config rebuilds the pipeline configuration the manifest describes. The
-// knob-to-config mapping matches cmd/reusesim's run() and the experiment
-// suite's Run() — the two producers of recordings.
-func (m Manifest) Config() pipeline.Config {
-	cfg := pipeline.DefaultConfig()
-	if m.IQSize > 0 {
-		cfg = pipeline.DefaultConfig().WithIQSize(m.IQSize)
-	}
-	cfg.Reuse.Enabled = !m.Baseline
-	cfg.Reuse.Strategy = core.Strategy(m.Strategy)
-	if m.NBLTSet || m.NBLTSize > 0 {
-		cfg.Reuse.NBLTSize = m.NBLTSize
-	}
-	if m.MaxCycles > 0 {
-		cfg.MaxCycles = m.MaxCycles
-	}
-	if m.ChaosSeed != 0 {
-		cfg.Chaos = chaos.DefaultConfig(m.ChaosSeed)
-	}
-	return cfg
+// legacyManifest holds the flat workload fields manifests carried before
+// they embedded a cell.Spec. Zero values meant the defaults.
+type legacyManifest struct {
+	IQ         *int `json:"iq"` // the current format's field; absent in the legacy one
+	IQSize     int  `json:"iq_size"`
+	Baseline   bool `json:"baseline"`
+	Distribute bool `json:"distribute"`
+	NBLTSize   int  `json:"nblt_size"`
+	NBLTSet    bool `json:"nblt_set"` // NBLTSize is explicit even when 0 (NBLT disabled)
 }
 
-// Program rebuilds the program the manifest describes.
-func (m Manifest) Program() (*prog.Program, error) {
-	switch {
-	case m.Kernel != "":
-		k, ok := workloads.ByName(m.Kernel)
-		if !ok {
-			return nil, fmt.Errorf("flightrec: manifest names unknown kernel %q", m.Kernel)
-		}
-		ir := k.Prog
-		if m.Distribute {
-			ir = compiler.Distribute(ir)
-		}
-		p, _, err := compiler.Compile(ir)
-		return p, err
-	case m.AsmSource != "":
-		return asm.Assemble(m.AsmSource)
+// DecodeManifest parses a manifest in the current or the legacy flat format
+// and validates the cell it names.
+func DecodeManifest(data []byte) (Manifest, error) {
+	var man Manifest
+	var old legacyManifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		return Manifest{}, err
 	}
-	return nil, fmt.Errorf("flightrec: manifest names no workload (neither kernel nor asm_source)")
+	if err := json.Unmarshal(data, &old); err != nil {
+		return Manifest{}, err
+	}
+	if old.IQ == nil {
+		man.IQSize = cmp.Or(old.IQSize, pipeline.DefaultConfig().IQSize)
+		man.Reuse = !old.Baseline
+		man.Distributed = old.Distribute
+		man.NBLTSize = cell.DefaultNBLT
+		if old.NBLTSet || old.NBLTSize > 0 {
+			man.NBLTSize = old.NBLTSize
+		}
+	}
+	if (man.Kernel == "") == (man.AsmSource == "") {
+		return Manifest{}, fmt.Errorf("manifest must name exactly one workload: a kernel or asm_source")
+	}
+	if err := man.Validate(); err != nil {
+		return Manifest{}, err
+	}
+	return man, nil
 }
 
 // Archive is a frozen recording: everything a debugger session needs to seek.
@@ -140,18 +124,23 @@ func writeManifest(dir string, man Manifest) error {
 // images, which are ignored — but strict about identity: fingerprint
 // mismatches are errors.
 func Load(dir string) (*Archive, error) {
-	var man Manifest
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, fmt.Errorf("flightrec: %w", err)
 	}
-	if err := json.Unmarshal(data, &man); err != nil {
+	man, err := DecodeManifest(data)
+	if err != nil {
 		return nil, fmt.Errorf("flightrec: %s: %w", filepath.Join(dir, ManifestName), err)
 	}
 	cfg := man.Config()
-	p, err := man.Program()
+	var p *prog.Program
+	if man.AsmSource != "" {
+		p, err = asm.Assemble(man.AsmSource)
+	} else {
+		p, _, err = man.Program()
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("flightrec: %w", err)
 	}
 	if man.ConfigHash != "" {
 		if got := fmt.Sprintf("%016x", snapshot.ConfigHash(cfg)); got != man.ConfigHash {

@@ -107,7 +107,7 @@ func (d *Debugger) info() error {
 		src = "(inline asm)"
 	}
 	fmt.Fprintf(d.Out, "run      kernel=%s baseline=%v iq=%d chaos-seed=%d\n",
-		src, man.Baseline, man.IQSize, man.ChaosSeed)
+		src, !man.Reuse, man.IQSize, man.ChaosSeed)
 	fmt.Fprintf(d.Out, "session  %d cycles replayed\n", d.S.Replayed)
 	return nil
 }

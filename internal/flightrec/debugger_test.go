@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"reuseiq/internal/asm"
+	"reuseiq/internal/cell"
 	"reuseiq/internal/chaos"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/telemetry"
@@ -45,7 +46,7 @@ func TestDebuggerSession(t *testing.T) {
 	m := pipeline.New(cfg, p)
 	rec, err := Attach(m, Config{
 		Dir:      dir,
-		Manifest: Manifest{AsmSource: gateSource, ChaosSeed: chaosSeed},
+		Manifest: Manifest{Spec: cell.Spec{IQSize: 64, Reuse: true, NBLTSize: cell.DefaultNBLT, ChaosSeed: chaosSeed}, AsmSource: gateSource},
 	})
 	if err != nil {
 		t.Fatal(err)

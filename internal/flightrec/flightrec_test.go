@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"reuseiq/internal/asm"
+	"reuseiq/internal/cell"
 	"reuseiq/internal/chaos"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/prog"
@@ -29,6 +30,12 @@ loop:	add  $r2, $r2, $r3
 	bne  $r3, $zero, loop
 	halt
 `
+
+// loopManifest names loopSource on the default machine (IQ 64, reuse on)
+// with the given chaos seed.
+func loopManifest(chaosSeed int64) Manifest {
+	return Manifest{Spec: cell.Spec{IQSize: 64, Reuse: true, NBLTSize: cell.DefaultNBLT, ChaosSeed: chaosSeed}, AsmSource: loopSource}
+}
 
 func loopProgram(t *testing.T) *prog.Program {
 	t.Helper()
@@ -166,9 +173,9 @@ func TestSeekEveryKernel(t *testing.T) {
 	for i, k := range workloads.All() {
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			man := Manifest{Kernel: k.Name, IQSize: 32}
-			cfg := man.Config()
-			p, err := man.Program()
+			sp := cell.Spec{Kernel: k.Name, IQSize: 32, Reuse: true, NBLTSize: cell.DefaultNBLT}
+			cfg := sp.Config()
+			p, _, err := sp.Program()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +221,7 @@ func TestDiskRoundtrip(t *testing.T) {
 
 	live := record(t, cfg, p, Config{
 		Dir:      dir,
-		Manifest: Manifest{AsmSource: loopSource, ChaosSeed: 7},
+		Manifest: loopManifest(7),
 	})
 	segs, _ := filepath.Glob(filepath.Join(dir, "events-*.jsonl"))
 	if len(segs) != 1 {
@@ -255,7 +262,7 @@ func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	m := pipeline.New(pipeline.DefaultConfig(), loopProgram(t))
 	defer m.Release()
-	rec, err := Attach(m, Config{Dir: dir, Manifest: Manifest{AsmSource: loopSource}})
+	rec, err := Attach(m, Config{Dir: dir, Manifest: loopManifest(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +298,7 @@ func TestCrashArtifact(t *testing.T) {
 	p := loopProgram(t)
 	cfg := pipeline.DefaultConfig()
 	cfg.Chaos = chaos.DefaultConfig(11)
-	man := Manifest{AsmSource: loopSource, ChaosSeed: 11}
+	man := loopManifest(11)
 	const stopAt = 20_000
 
 	tearLastSegment := func(dir string) {
@@ -376,7 +383,7 @@ func TestOldFormatArtifact(t *testing.T) {
 	dir := t.TempDir()
 	p := loopProgram(t)
 	cfg := pipeline.DefaultConfig()
-	live := record(t, cfg, p, Config{Dir: dir, Manifest: Manifest{AsmSource: loopSource}})
+	live := record(t, cfg, p, Config{Dir: dir, Manifest: loopManifest(0)})
 
 	path := filepath.Join(dir, ManifestName)
 	data, err := os.ReadFile(path)
@@ -387,6 +394,11 @@ func TestOldFormatArtifact(t *testing.T) {
 	if err := json.Unmarshal(data, &fields); err != nil {
 		t.Fatal(err)
 	}
+	// The flat workload fields of that era: absent iq, reuse and nblt mean
+	// the default machine.
+	delete(fields, "iq")
+	delete(fields, "reuse")
+	delete(fields, "nblt")
 	fields["interval"], fields["depth"] = 65536, 8
 	if data, err = json.Marshal(fields); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"reuseiq/internal/cell"
 	"reuseiq/internal/runstore"
 )
 
@@ -16,8 +17,8 @@ func ledgerFixture() []runstore.Record {
 	return []runstore.Record{
 		{
 			V: runstore.SchemaVersion, ID: "aaaa1111bbbb2222", Kind: runstore.KindSim,
-			Start: time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC), Kernel: "aps",
-			IQSize: 64, Reuse: true, Fingerprint: "0011223344556677:8899aabbccddeeff",
+			Start: time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC),
+			Spec:  cell.Spec{Kernel: "aps", IQSize: 64, Reuse: true}, Fingerprint: "0011223344556677:8899aabbccddeeff",
 			Cycles: 1000, Commits: 1700, IPC: 1.7,
 			Metrics: runstore.Metrics{Counters: []runstore.Counter{{Name: "commit.loads", Value: 42}}},
 			Energy:  map[string]float64{"total": 9.5},
@@ -25,7 +26,7 @@ func ledgerFixture() []runstore.Record {
 		},
 		{
 			V: runstore.SchemaVersion, ID: "cccc3333dddd4444", Kind: runstore.KindCell,
-			Kernel: "adi", IQSize: 128, Reuse: false,
+			Spec:        cell.Spec{Kernel: "adi", IQSize: 128},
 			Fingerprint: "ffeeddccbbaa9988:8899aabbccddeeff",
 			Cycles:      2000, Commits: 1500, IPC: 0.75,
 		},

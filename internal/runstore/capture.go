@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"reuseiq/internal/cell"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/power"
 	"reuseiq/internal/snapshot"
@@ -48,20 +49,18 @@ func EnergyMap(pr power.Report) map[string]float64 {
 	return e
 }
 
-// FromMachine captures a finished machine as a ledger record: fingerprint,
-// full metrics snapshot, energy attribution, headline results and host
-// provenance. The caller fills the workload identity (Kernel, Kind), the mode
-// flags the machine can't see (FlightRec, Verified, Retried) and Start/WallNS.
-func FromMachine(m *pipeline.Machine) Record {
+// FromMachine captures a finished machine that ran the cell sp as a ledger
+// record: identity, fingerprint, full metrics snapshot, energy attribution,
+// headline results and host provenance. The caller fills Kind, the mode
+// flags the machine can't see (FlightRec, Verified, Retried) and WallNS.
+func FromMachine(sp cell.Spec, m *pipeline.Machine) Record {
 	reg := &telemetry.Registry{}
 	m.RegisterMetrics(reg)
 	hostname, _ := os.Hostname()
 	rec := Record{
 		Start:       time.Now().UTC(),
-		IQSize:      m.Cfg.IQSize,
-		Reuse:       m.Cfg.Reuse.Enabled,
-		Strategy:    int(m.Cfg.Reuse.Strategy),
-		NBLTSize:    m.Cfg.Reuse.NBLTSize,
+		Spec:        sp,
+		Strategy:    int(sp.Strategy),
 		Fingerprint: snapshot.FingerprintOf(m.Cfg, m.Prog).String(),
 		Cycles:      m.C.Cycles,
 		Commits:     m.C.Commits,
@@ -76,9 +75,6 @@ func FromMachine(m *pipeline.Machine) Record {
 			CPUs:      runtime.NumCPU(),
 			GoVersion: runtime.Version(),
 		},
-	}
-	if m.Cfg.Chaos.Enabled {
-		rec.ChaosSeed = m.Cfg.Chaos.Seed
 	}
 	return rec
 }

@@ -153,7 +153,7 @@ func (d *DiffReport) WriteText(w io.Writer, changedOnly bool) error {
 	fmt.Fprintln(tw, "metric\tA\tB\tdelta\t%\t")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t\n",
-			r.Name, cell(r.A, r.AOK, r.Integer), cell(r.B, r.BOK, r.Integer),
+			r.Name, fmtValue(r.A, r.AOK, r.Integer), fmtValue(r.B, r.BOK, r.Integer),
 			deltaCell(r), pctCell(r))
 	}
 	if err := tw.Flush(); err != nil {
@@ -164,7 +164,7 @@ func (d *DiffReport) WriteText(w io.Writer, changedOnly bool) error {
 	return nil
 }
 
-func cell(v float64, ok, integer bool) string {
+func fmtValue(v float64, ok, integer bool) string {
 	if !ok {
 		return "-"
 	}

@@ -73,7 +73,7 @@ func WriteHTML(w io.Writer, title string, recs []Record, sentinel *Report, diff 
 var reportTmpl = template.Must(template.New("report").Funcs(template.FuncMap{
 	"f3": func(v float64) string { return fmt.Sprintf("%.3f", v) },
 	"cell": func(r DiffRow) [2]string {
-		return [2]string{cell(r.A, r.AOK, r.Integer), cell(r.B, r.BOK, r.Integer)}
+		return [2]string{fmtValue(r.A, r.AOK, r.Integer), fmtValue(r.B, r.BOK, r.Integer)}
 	},
 	"delta": deltaCell,
 	"pct":   pctCell,

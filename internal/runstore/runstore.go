@@ -29,6 +29,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"reuseiq/internal/cell"
 )
 
 // SchemaVersion guards the record schema. Replay fails loudly on records
@@ -114,20 +116,18 @@ type Record struct {
 	// Start is when the run began, RFC 3339 with nanoseconds.
 	Start time.Time `json:"start"`
 
-	// Workload identity: the human-facing key of what ran.
-	Kernel      string `json:"kernel,omitempty"` // empty for ad-hoc -asm runs
-	IQSize      int    `json:"iq"`
-	Reuse       bool   `json:"reuse"`
-	Distributed bool   `json:"dist,omitempty"`
-	Strategy    int    `json:"strategy,omitempty"`
-	NBLTSize    int    `json:"nblt"`
+	// Workload identity: the cell that ran. Kernel names the assembly
+	// file instead for an ad-hoc reusesim -asm run.
+	cell.Spec
+	// Strategy mirrors Spec.Strategy for perfbench, which compares it with an
+	// int. Not encoded; Open, Load and FromMachine fill it.
+	Strategy int `json:"-"`
 
 	// Provenance: the value-hash fingerprints from internal/snapshot, in
 	// their "%016x:%016x" string form (strings, not u64s, so JavaScript
 	// consumers of /runs never round them), plus every mode flag that can
 	// change the run's observable surface.
 	Fingerprint string `json:"fingerprint"`
-	ChaosSeed   int64  `json:"chaos_seed,omitempty"`
 	FlightRec   bool   `json:"flightrec,omitempty"`
 	Verified    bool   `json:"verified,omitempty"`
 
@@ -222,6 +222,7 @@ func (l *Ledger) replay() (int64, error) {
 			return 0, fmt.Errorf("runstore: %s: record version %d, this build reads %d", l.path, rec.V, SchemaVersion)
 		}
 		good += int64(len(line)) + 1
+		rec.Strategy = int(rec.Spec.Strategy)
 		l.byID[rec.ID] = len(l.recs)
 		l.recs = append(l.recs, rec)
 	}

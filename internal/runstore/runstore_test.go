@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"reuseiq/internal/cell"
 )
 
 func ledgerPath(t *testing.T) string {
@@ -22,10 +24,7 @@ func testRecord(id, fp string, wall time.Duration) Record {
 		ID:          id,
 		Kind:        KindSim,
 		Start:       time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC),
-		Kernel:      "aps",
-		IQSize:      64,
-		Reuse:       true,
-		NBLTSize:    8,
+		Spec:        cell.Spec{Kernel: "aps", IQSize: 64, Reuse: true, NBLTSize: 8},
 		Fingerprint: fp,
 		Cycles:      1000,
 		Commits:     2500,
