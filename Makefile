@@ -70,18 +70,22 @@ report-check:
 	go run -race ./cmd/reportcheck
 
 # Coverage-guided fuzzing of the assembler (see internal/asm/fuzz_test.go),
-# the snapshot decoder (internal/snapshot/fuzz_test.go) and the
-# flight-recorder manifest decoder (internal/flightrec/fuzz_test.go). Fully offline:
+# the snapshot decoder (internal/snapshot/fuzz_test.go), the
+# flight-recorder manifest decoder (internal/flightrec/fuzz_test.go) and the
+# run-ledger replay that sweep-journal resume starts from
+# (internal/runstore/fuzz_test.go). Fully offline:
 # the module has no dependencies, so no network or vendor directory is
 # needed — the corpus seeds live in testdata. Override the budget with
-# make fuzz FUZZTIME=2m. The snapshot run caps input minimization: a binary
-# format makes nearly every mutation "interesting", and the default
-# 60s-per-input minimization would stall the fuzzer.
+# make fuzz FUZZTIME=2m. The snapshot and ledger runs cap input
+# minimization: a binary format makes nearly every mutation "interesting",
+# a ledger input costs a file write and an fsync per run, and the default
+# 60s-per-input minimization would stall either fuzzer.
 FUZZTIME ?= 30s
 fuzz:
 	go test -fuzz=FuzzAssemble -fuzztime=$(FUZZTIME) ./internal/asm/
 	go test -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/snapshot/
 	go test -fuzz=FuzzManifestDecode -fuzztime=$(FUZZTIME) ./internal/flightrec/
+	go test -fuzz=FuzzLedgerReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/runstore/
 
 # Perf-regression gate: run the hot-loop and flight-recorder benchmarks and
 # compare against the checked-in baseline with cmd/benchdiff (a benchstat

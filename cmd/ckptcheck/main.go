@@ -11,8 +11,9 @@
 //     straight (reference stdout); with -journal attached and SIGKILLed as
 //     soon as the journal shows progress; then with -journal -resume to
 //     completion. The resumed stdout, minus the trailing wall-clock line,
-//     must be byte-identical to the reference, and the journal must hold
-//     every cell exactly once.
+//     must be byte-identical to the reference, and the journal — a run
+//     ledger, read with runstore.Load — must hold every cell exactly once,
+//     one record per line.
 //
 // Usage:
 //
@@ -24,7 +25,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,6 +36,7 @@ import (
 
 	"reuseiq/internal/cell"
 	"reuseiq/internal/pipeline"
+	"reuseiq/internal/runstore"
 	"reuseiq/internal/snapshot"
 )
 
@@ -197,24 +198,21 @@ func crashDrill(argv []string, timeout time.Duration) error {
 		return fmt.Errorf("resumed report differs from uninterrupted report:\n--- straight ---\n%s\n--- resumed ---\n%s", want, got)
 	}
 
-	// Every cell exactly once: no key may repeat across the journal.
-	data, err := os.ReadFile(jpath)
+	// Every cell exactly once: no cell may repeat across the journal, and
+	// every complete line must be a record.
+	recs, err := runstore.Load(jpath)
 	if err != nil {
 		return err
 	}
+	if n := journalLines(jpath); n != len(recs) {
+		return fmt.Errorf("journal holds %d lines but %d records", n, len(recs))
+	}
 	seen := map[cell.Spec]bool{}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(line) == 0 {
-			continue
+	for _, rec := range recs {
+		if seen[rec.Spec] {
+			return fmt.Errorf("cell %s recorded twice: a resumed sweep double-counted", rec.Spec.Name(cell.Label))
 		}
-		var sp cell.Spec
-		if err := json.Unmarshal(line, &sp); err != nil {
-			return fmt.Errorf("journal holds a malformed complete line: %v", err)
-		}
-		if seen[sp] {
-			return fmt.Errorf("cell %s recorded twice: a resumed sweep double-counted", sp.Name(cell.Label))
-		}
-		seen[sp] = true
+		seen[rec.Spec] = true
 	}
 	return nil
 }

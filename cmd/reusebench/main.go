@@ -99,7 +99,7 @@ func main() {
 	listen := flag.String("listen", "", "serve live /metrics, /events, /status and pprof on this address while the sweep runs")
 	linger := flag.Duration("linger", 0, "keep the -listen server up this long after the report completes")
 	ledgerPath := flag.String("ledger", "", "append a provenance-stamped run-ledger record (JSONL) for every simulated cell to this file; query with reusereport")
-	journal := flag.String("journal", "", "journal completed sweep cells (JSONL + per-cell CSV + mid-cell checkpoints) under this path for crash recovery")
+	journal := flag.String("journal", "", "journal completed sweep cells (run-ledger records + mid-cell checkpoints) under this path for crash recovery")
 	resume := flag.Bool("resume", false, "with -journal, resume a previous (killed) sweep: skip recorded cells, restore in-flight ones from checkpoints")
 	ckptEvery := flag.Uint64("ckpt-every", 0, "with -journal, cycles between mid-cell checkpoints (0 = default 2000000)")
 	sizesFlag := flag.String("sizes", "", "comma-separated IQ sizes for figures 5-8 (default 32,64,128,256)")

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -74,8 +73,7 @@ type opts struct {
 	frAsm string
 	// ledger, non-nil with -ledger, receives one provenance-stamped record
 	// per completed simulation (both halves of -compare).
-	ledger  *runstore.Ledger
-	asmFile string // names the ledger record of an -asm run
+	ledger *runstore.Ledger
 }
 
 // simStatus is the /status payload published with each sample.
@@ -154,6 +152,10 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "reusesim:", err)
 		return 2
 	}
+	if *asmFile != "" && *ledgerPath != "" {
+		fmt.Fprintln(stderr, "reusesim: -ledger records kernel runs; an -asm run has no spec a ledger record can rebuild")
+		return 2
+	}
 	if *flightrecDir != "" && (*compare || *pipetrace > 0) {
 		fmt.Fprintln(stderr, "reusesim: -flightrec records a single plain run, not -compare or -pipetrace")
 		return 2
@@ -179,7 +181,6 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 		stdout:     stdout,
 		stderr:     stderr,
 		frDir:      *flightrecDir,
-		asmFile:    *asmFile,
 	}
 	if *ledgerPath != "" {
 		led, err := runstore.Open(*ledgerPath)
@@ -491,9 +492,6 @@ func run(p *prog.Program, sp cell.Spec, o *opts) (*pipeline.Machine, error) {
 	if o.ledger != nil {
 		rec := runstore.FromMachine(sp, m)
 		rec.Kind = runstore.KindSim
-		if o.asmFile != "" {
-			rec.Kernel = filepath.Base(o.asmFile)
-		}
 		rec.FlightRec = o.frDir != ""
 		rec.Verified = o.verify
 		rec.Host.WallNS = time.Since(start).Nanoseconds()

@@ -119,6 +119,7 @@ func TestBadFlagsExitNonzero(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := filepath.Join(dir, "rec")
+	led := filepath.Join(dir, "runs.jsonl")
 	for _, args := range [][]string{
 		{"-kernel", "nosuch"},
 		{},
@@ -128,6 +129,7 @@ func TestBadFlagsExitNonzero(t *testing.T) {
 		{"-kernel", "tsf", "-iq", "1"},
 		{"-asm", src, "-distribute"},
 		{"-asm", src, "-distribute", "-flightrec", rec},
+		{"-asm", src, "-ledger", led},
 	} {
 		stdout, stderr, code := runMain(t, args...)
 		if code != 2 {
@@ -137,8 +139,10 @@ func TestBadFlagsExitNonzero(t *testing.T) {
 			t.Errorf("%v: want one error line on stderr, got stdout %q stderr %q", args, stdout, stderr)
 		}
 	}
-	if _, err := os.Stat(rec); !os.IsNotExist(err) {
-		t.Errorf("a rejected -flightrec run left %s behind (%v)", rec, err)
+	for _, path := range []string{rec, led} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("a rejected run left %s behind (%v)", path, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"reuseiq/internal/altfe"
@@ -150,7 +151,8 @@ func TestValidate(t *testing.T) {
 // the ledger record are the same cell), and reusesim -flightrec runs of
 // "-kernel tsf -iq 32 -chaos 5" and "-kernel aps -distribute -baseline
 // -iq 128". Each must decode to its cell, and that cell must rebuild the
-// configuration the writer fingerprinted.
+// configuration the writer fingerprinted. The journal line also predates
+// journals holding ledger records, so it no longer resumes.
 
 // wssSingle is the journal's and the ledger's cell; parentWSSConfig is the
 // config hash the ledger record's fingerprint carries.
@@ -162,8 +164,11 @@ func configHash(sp cell.Spec) string {
 	return fmt.Sprintf("%016x", snapshot.ConfigHash(sp.Config()))
 }
 
-func TestParentJournalResumes(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "parent", "journal.jsonl"))
+// attachParent copies one of the parent's files into a fresh directory and
+// resumes it as a sweep journal, failing the test if any cell simulates.
+func attachParent(t *testing.T, name string) (*experiments.Suite, *experiments.Journal, int, error) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "parent", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +182,13 @@ func TestParentJournalResumes(t *testing.T) {
 		return true
 	}
 	j, n, err := s.AttachJournal(path, true)
+	return s, j, n, err
+}
+
+// A journal is a run ledger, so the parent's ledger record resumes as a
+// journaled cell.
+func TestParentJournalResumes(t *testing.T) {
+	s, j, n, err := attachParent(t, "ledger.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +205,20 @@ func TestParentJournalResumes(t *testing.T) {
 	}
 	if got := configHash(r.Spec); got != parentWSSConfig {
 		t.Errorf("journaled cell rebuilds config %s, the parent ran %s", got, parentWSSConfig)
+	}
+}
+
+// The parent's journal line predates journals holding ledger records: it
+// has no kind and no energy, so resuming it is refused, naming the file,
+// rather than seeding the cell with zero energies.
+func TestParentJournalRefused(t *testing.T) {
+	_, j, _, err := attachParent(t, "journal.jsonl")
+	if err == nil {
+		j.Close()
+		t.Fatal("resumed a journal written before journals held ledger records")
+	}
+	if !strings.Contains(err.Error(), "journal.jsonl") {
+		t.Errorf("refusal does not name the file: %v", err)
 	}
 }
 

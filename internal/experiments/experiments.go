@@ -72,8 +72,8 @@ type RunResult struct {
 	FlightRec string
 	// RunID is the cell's id in the run ledger (Suite.UseLedger), empty when
 	// no ledger records — or when the cell was served from cache (a journal
-	// resume replays the cell, it does not re-run it, so no new record is
-	// appended and no id exists in this process).
+	// resume rebuilds the cell from its journal record, it does not re-run
+	// it, so the ledger gets no new record).
 	RunID string
 }
 
@@ -310,11 +310,12 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 		Retried:   retried,
 		FlightRec: postMortem,
 	}
-	// Capture the ledger record while the machine is still live (Release
-	// pools its buffers). The ledger is nil-safe, but FromMachine walks the
-	// whole counter surface, so skip the work entirely when not recording.
-	if led != nil {
-		rec := runstore.FromMachine(sp, m)
+	// Capture the cell's record while the machine is still live (Release
+	// pools its buffers). FromMachine walks the whole counter surface, so
+	// skip the work entirely when nothing records.
+	var rec runstore.Record
+	if j != nil || led != nil {
+		rec = runstore.FromMachine(sp, m)
 		rec.Kind = runstore.KindCell
 		rec.FlightRec = s.FlightRecDir != ""
 		rec.Retried = retried
@@ -326,7 +327,9 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 			m.Release()
 			return RunResult{}, err
 		}
-		r.RunID = rec.ID
+		if led != nil {
+			r.RunID = rec.ID
+		}
 	}
 	// The result holds only values, so the machine's scratch buffers can go
 	// back to the pool for the next sweep point.
@@ -335,9 +338,10 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 	s.results[sp] = r
 	s.mu.Unlock()
 	if j != nil {
-		// Persist the finished cell before returning. A failed append means
-		// the sweep is no longer crash-safe, which is worth failing loudly.
-		if err := j.record(r); err != nil {
+		// Persist the finished cell before returning: the same record, id
+		// included, that the ledger got. A failed append means the sweep
+		// is no longer crash-safe, which is worth failing loudly.
+		if err := j.record(&rec); err != nil {
 			return r, err
 		}
 	}
@@ -490,10 +494,4 @@ func sweepSpecs(sizes []int) []Spec {
 }
 
 // KernelNames returns the Table 2 kernel order.
-func KernelNames() []string {
-	names := make([]string, 0, 8)
-	for _, k := range workloads.All() {
-		names = append(names, k.Name)
-	}
-	return names
-}
+func KernelNames() []string { return workloads.Names() }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"reuseiq/internal/pipeline"
+	"reuseiq/internal/runstore"
 )
 
 func journalPath(t *testing.T) string {
@@ -19,19 +20,41 @@ func journalPath(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "sweep.jsonl")
 }
 
-// countRecords replays the journal on disk and returns its records.
-func countRecords(t *testing.T, path string) []cellRecord {
+// countRecords loads the journal on disk as the run ledger it is and returns
+// its records.
+func countRecords(t *testing.T, path string) []runstore.Record {
 	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	recs, _, err := replay(f)
+	recs, err := runstore.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return recs
+}
+
+// fakeRecord is a cell record for sp that no simulation of sp produced: a
+// fresh tsf machine's counters and energies under sp's identity.
+func fakeRecord(t *testing.T, sp Spec, cycles uint64) *runstore.Record {
+	t.Helper()
+	tsf := Spec{Kernel: "tsf", IQSize: 32, NBLTSize: -1}
+	mp, err := NewSuite().programOf(tsf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := pipeline.New(tsf.Config(), mp)
+	defer m.Release()
+	rec := runstore.FromMachine(sp.Normalized(), m)
+	rec.Kind = runstore.KindCell
+	rec.Cycles = cycles
+	return &rec
+}
+
+// sameResult compares two results field for field, their errors by message.
+func sameResult(a, b RunResult) bool {
+	if (a.Err == nil) != (b.Err == nil) || a.Err != nil && a.Err.Error() != b.Err.Error() {
+		return false
+	}
+	a.Err, b.Err = nil, nil
+	return reflect.DeepEqual(a, b)
 }
 
 func TestJournalRecordsAndResumes(t *testing.T) {
@@ -60,15 +83,18 @@ func TestJournalRecordsAndResumes(t *testing.T) {
 	}
 	ja.Close()
 
-	if got := countRecords(t, path); len(got) != len(specs) {
-		t.Fatalf("journal holds %d records, want %d", len(got), len(specs))
+	recs := countRecords(t, path)
+	if len(recs) != len(specs) {
+		t.Fatalf("journal holds %d records, want %d", len(recs), len(specs))
 	}
-	csvData, err := os.ReadFile(path + ".csv")
-	if err != nil {
-		t.Fatal(err)
+	for i, rec := range recs {
+		if rec.Kind != runstore.KindCell || rec.Spec != specs[i].Normalized() || rec.Energy == nil {
+			t.Errorf("record %d: kind %q, spec %+v, %d energies; want a cell record of %+v",
+				i, rec.Kind, rec.Spec, len(rec.Energy), specs[i].Normalized())
+		}
 	}
-	if lines := strings.Count(string(csvData), "\n"); lines != len(specs)+1 {
-		t.Errorf("journal CSV has %d lines, want header + %d rows", lines, len(specs))
+	if _, err := os.Stat(path + ".csv"); !os.IsNotExist(err) {
+		t.Errorf("journal left a CSV mirror beside it (%v)", err)
 	}
 
 	b := NewSuite()
@@ -105,7 +131,8 @@ func TestJournalSeedsCacheWithoutSimulating(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := Spec{Kernel: "no-such-kernel", IQSize: 48, Reuse: true, NBLTSize: -1}
-	fake := RunResult{Spec: sp.Normalized(), Cycles: 12345, Commits: 678, IPC: 1.5}
+	fake := fakeRecord(t, sp, 12345)
+	fake.Commits = 678
 	if err := j.record(fake); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +162,7 @@ func TestJournalFreshRefusesExistingRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.record(RunResult{Spec: Spec{Kernel: "x", IQSize: 32, NBLTSize: 8}}); err != nil {
+	if err := j.record(fakeRecord(t, Spec{Kernel: "x", IQSize: 32, NBLTSize: 8}, 0)); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -150,7 +177,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.record(RunResult{Spec: Spec{Kernel: "x", IQSize: 32, NBLTSize: 8}, Cycles: 99}); err != nil {
+	if err := j.record(fakeRecord(t, Spec{Kernel: "x", IQSize: 32, NBLTSize: 8}, 99)); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -184,7 +211,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Errorf("torn tail not truncated: %d bytes, want %d", st.Size(), good.Size())
 	}
 	// Appending after the truncation must yield a well-formed log again.
-	if err := j2.record(RunResult{Spec: Spec{Kernel: "z", IQSize: 64, NBLTSize: 8}}); err != nil {
+	if err := j2.record(fakeRecord(t, Spec{Kernel: "z", IQSize: 64, NBLTSize: 8}, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if got := countRecords(t, path); len(got) != 2 {
@@ -215,6 +242,130 @@ func TestJournalVersionMismatch(t *testing.T) {
 	}
 	if _, _, err := NewSuite().AttachJournal(path, true); err == nil {
 		t.Fatal("future-version record accepted")
+	}
+}
+
+// TestJournalRefusesRecordsItCannotRebuild: a line from a journal written
+// before journals held run-ledger records, a reusesim run's record and cell
+// records missing an energy or a reuse counter each refuse the resume with
+// an error naming the file, instead of seeding zeros into the cache.
+func TestJournalRefusesRecordsItCannotRebuild(t *testing.T) {
+	sp := Spec{Kernel: "tsf", IQSize: 32, NBLTSize: 8}
+	cases := map[string]func() []byte{
+		"pre-ledger line": func() []byte {
+			return []byte(`{"v":1,"kernel":"tsf","iq":32,"nblt":8,"cycles":99,"power":{"Cycles":99},"core":{}}` + "\n")
+		},
+		"sim record": func() []byte {
+			rec := fakeRecord(t, sp, 99)
+			rec.Kind = runstore.KindSim
+			return marshalRecord(t, rec)
+		},
+		"missing energy": func() []byte {
+			rec := fakeRecord(t, sp, 99)
+			delete(rec.Energy, "issueq")
+			return marshalRecord(t, rec)
+		},
+		"missing counter": func() []byte {
+			rec := fakeRecord(t, sp, 99)
+			cs := rec.Metrics.Counters[:0]
+			for _, c := range rec.Metrics.Counters {
+				if c.Name != "reuse.revokes.exit" {
+					cs = append(cs, c)
+				}
+			}
+			rec.Metrics.Counters = cs
+			return marshalRecord(t, rec)
+		},
+	}
+	for name, line := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := journalPath(t)
+			if err := os.WriteFile(path, line(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := NewSuite().AttachJournal(path, true)
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("resume accepted the record or hid the file: %v", err)
+			}
+		})
+	}
+}
+
+// marshalRecord renders rec as the ledger line Append would write.
+func marshalRecord(t *testing.T, rec *runstore.Record) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "one.jsonl")
+	l, err := runstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestJournalRoundTripsResults: a cell resumed from its journal record is
+// the cell as simulated, field for field — a chaos cell's forced revokes
+// (Core.RevokesForced has no counter of its own) and a degraded, retried
+// cell included.
+func TestJournalRoundTripsResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulations")
+	}
+	specs := []Spec{
+		{Kernel: "wss", IQSize: 32, Reuse: true, NBLTSize: -1},
+		{Kernel: "aps", IQSize: 32, Reuse: true, NBLTSize: -1, ChaosSeed: 5},
+		{Kernel: "tsf", IQSize: 32, NBLTSize: -1},
+	}
+	sabotaged := specs[2].Normalized()
+	path := journalPath(t)
+	a := NewSuite()
+	a.Sabotage = func(sp Spec) bool { return sp == sabotaged }
+	ja, _, err := a.AttachJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]RunResult, len(specs))
+	for i, sp := range specs {
+		if want[i], err = a.Run(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ja.Close()
+	if want[1].Core.RevokesForced == 0 {
+		t.Fatal("the chaos cell forced no revokes; pick a seed that does")
+	}
+	if want[2].Err == nil || !want[2].Retried {
+		t.Fatalf("the sabotaged cell did not degrade: %+v", want[2])
+	}
+
+	b := NewSuite()
+	b.Sabotage = func(sp Spec) bool {
+		t.Errorf("%v simulated instead of read from the journal", sp)
+		return false
+	}
+	jb, n, err := b.AttachJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jb.Close()
+	if n != len(specs) {
+		t.Fatalf("recovered %d cells, want %d", n, len(specs))
+	}
+	for i, sp := range specs {
+		got, err := b.Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(got, want[i]) {
+			t.Errorf("%v resumes as\n %+v\nsimulated as\n %+v", sp, got, want[i])
+		}
 	}
 }
 
@@ -403,9 +554,7 @@ func TestCrashResumeKill9(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	killed := false
 	for time.Now().Before(deadline) {
-		if f, err := os.Open(path); err == nil {
-			recs, _, _ := replay(f)
-			f.Close()
+		if recs, err := runstore.Load(path); err == nil {
 			if len(recs) >= 2 {
 				cmd.Process.Kill()
 				killed = true

@@ -1,6 +1,9 @@
 package pipeline
 
 import (
+	"fmt"
+
+	"reuseiq/internal/core"
 	"reuseiq/internal/stats"
 	"reuseiq/internal/telemetry"
 )
@@ -34,20 +37,9 @@ func (m *Machine) RegisterMetrics(r *telemetry.Registry) {
 	put("commit.stores", m.C.StoresCommitted)
 	put("commit.reused", m.C.ReusedCommitted)
 
-	ctl := m.Ctl.S
-	put("reuse.detections", ctl.Detections)
-	put("reuse.nblt_filtered", ctl.NBLTFiltered)
-	put("reuse.bufferings", ctl.Bufferings)
-	put("reuse.iterations_buffered", ctl.IterationsBuffered)
-	put("reuse.buffered_insts", ctl.BufferedInsts)
-	put("reuse.promotions", ctl.Promotions)
-	put("reuse.renames", ctl.ReuseRenames)
-	put("reuse.exits", ctl.ReuseExits)
-	put("reuse.revokes", ctl.Revokes)
-	put("reuse.revokes.inner", ctl.RevokesInner)
-	put("reuse.revokes.exit", ctl.RevokesExit)
-	put("reuse.revokes.full", ctl.RevokesFull)
-	put("reuse.revokes.recovery", ctl.RevokesRecovery)
+	for i, v := range reuseFields(&m.Ctl.S) {
+		put(reuseNames[i], *v)
+	}
 
 	put("iq.dispatches", m.IQ.Dispatches)
 	put("iq.partial_updates", m.IQ.PartialUpdates)
@@ -109,6 +101,42 @@ func (m *Machine) RegisterMetrics(r *telemetry.Registry) {
 		r.RegisterHistogram("hist.session_cycles", &m.Tel.SessionCycles)
 		r.RegisterHistogram("hist.issue_to_commit", &m.Tel.IssueToCommit)
 	}
+}
+
+// reuseNames names the reuse controller's counters, in reuseFields' order.
+var reuseNames = [...]string{
+	"reuse.detections", "reuse.nblt_filtered", "reuse.bufferings",
+	"reuse.iterations_buffered", "reuse.buffered_insts", "reuse.promotions",
+	"reuse.renames", "reuse.exits", "reuse.revokes", "reuse.revokes.inner",
+	"reuse.revokes.exit", "reuse.revokes.full", "reuse.revokes.recovery",
+}
+
+// reuseFields lists the core.Stats fields reuseNames names. RevokesForced
+// has no metric of its own: it is the part of Revokes no reason claims.
+func reuseFields(s *core.Stats) [len(reuseNames)]*uint64 {
+	return [...]*uint64{
+		&s.Detections, &s.NBLTFiltered, &s.Bufferings,
+		&s.IterationsBuffered, &s.BufferedInsts, &s.Promotions,
+		&s.ReuseRenames, &s.ReuseExits, &s.Revokes, &s.RevokesInner,
+		&s.RevokesExit, &s.RevokesFull, &s.RevokesRecovery,
+	}
+}
+
+// CoreStats inverts RegisterMetrics for the reuse controller: it rebuilds
+// core.Stats from the reuse.* counters that counter looks up by name, and
+// derives RevokesForced as Revokes minus the inner, exit, full and
+// recovery counts. A missing counter is an error.
+func CoreStats(counter func(name string) (uint64, bool)) (core.Stats, error) {
+	var s core.Stats
+	for i, v := range reuseFields(&s) {
+		n, ok := counter(reuseNames[i])
+		if !ok {
+			return core.Stats{}, fmt.Errorf("no %s counter", reuseNames[i])
+		}
+		*v = n
+	}
+	s.RevokesForced = s.Revokes - s.RevokesInner - s.RevokesExit - s.RevokesFull - s.RevokesRecovery
+	return s, nil
 }
 
 // StatsSet exports every counter of the machine and its components as an

@@ -1,6 +1,7 @@
 package runstore
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"time"
@@ -47,6 +48,21 @@ func EnergyMap(pr power.Report) map[string]float64 {
 	}
 	e["total"] = pr.Total()
 	return e
+}
+
+// ReportOf inverts EnergyMap: the power report whose per-component energies
+// e holds, for a run of the given cycles and commits. A component missing
+// from e is an error, not a zero.
+func ReportOf(e map[string]float64, cycles, commits uint64) (power.Report, error) {
+	pr := power.Report{Cycles: cycles, Commits: commits}
+	for c := power.Component(0); c < power.NumComponents; c++ {
+		v, ok := e[c.String()]
+		if !ok {
+			return power.Report{}, fmt.Errorf("no %s energy", c)
+		}
+		pr.Energy[c] = v
+	}
+	return pr, nil
 }
 
 // FromMachine captures a finished machine that ran the cell sp as a ledger

@@ -1,7 +1,9 @@
 // Package runstore is the simulator's run ledger: a durable, append-only,
 // schema-versioned warehouse of complete run records, one JSON line per run,
-// fsynced at append and tolerant of a torn final line on reopen (the same
-// durability discipline as the experiment journal in internal/experiments).
+// fsynced at append and tolerant of a torn final line on reopen. It is the
+// one on-disk format for finished runs: the sweep journal in
+// internal/experiments is a ledger file too, and resumes a sweep from its
+// records.
 //
 // Where the telemetry registry and the obs service expose a run's counters
 // live and then throw them away at process exit, the ledger persists every
@@ -20,6 +22,7 @@ package runstore
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -116,8 +119,7 @@ type Record struct {
 	// Start is when the run began, RFC 3339 with nanoseconds.
 	Start time.Time `json:"start"`
 
-	// Workload identity: the cell that ran. Kernel names the assembly
-	// file instead for an ad-hoc reusesim -asm run.
+	// Workload identity: the cell that ran.
 	cell.Spec
 	// Strategy mirrors Spec.Strategy for perfbench, which compares it with an
 	// int. Not encoded; Open, Load and FromMachine fill it.
@@ -203,8 +205,9 @@ func Open(path string) (*Ledger, error) {
 }
 
 // replay decodes every complete record and returns the byte offset just past
-// the last good line. Mirrors the experiment journal: a torn or corrupt
-// final line ends the replay, a future-version record fails it.
+// the last good line. A line is complete only with its newline, so a final
+// line without one is a torn tail even when it parses; a torn or corrupt
+// line ends the replay, and a future-version record fails it.
 func (l *Ledger) replay() (int64, error) {
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("runstore: %w", err)
@@ -212,6 +215,7 @@ func (l *Ledger) replay() (int64, error) {
 	var good int64
 	sc := bufio.NewScanner(l.f)
 	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
+	sc.Split(scanLine)
 	for sc.Scan() {
 		line := sc.Bytes()
 		var rec Record
@@ -221,7 +225,7 @@ func (l *Ledger) replay() (int64, error) {
 		if rec.V != SchemaVersion {
 			return 0, fmt.Errorf("runstore: %s: record version %d, this build reads %d", l.path, rec.V, SchemaVersion)
 		}
-		good += int64(len(line)) + 1
+		good += int64(len(line))
 		rec.Strategy = int(rec.Spec.Strategy)
 		l.byID[rec.ID] = len(l.recs)
 		l.recs = append(l.recs, rec)
@@ -230,6 +234,16 @@ func (l *Ledger) replay() (int64, error) {
 		return 0, fmt.Errorf("runstore: %s: %w", l.path, err)
 	}
 	return good, nil
+}
+
+// scanLine is a bufio.SplitFunc returning each newline-terminated line with
+// its newline, so replay counts every byte it keeps; trailing bytes with no
+// newline yield no line.
+func scanLine(data []byte, _ bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	return 0, nil, nil
 }
 
 // Load reads the ledger at path read-only: records replay with the same

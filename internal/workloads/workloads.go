@@ -31,25 +31,45 @@ type Kernel struct {
 	Prog   *compiler.Program
 }
 
-// All returns the eight kernels in the paper's Table 2 order.
-func All() []Kernel {
-	return []Kernel{
-		{"adi", "Livermore", ADI()},
-		{"aps", "Perfect Club", APS()},
-		{"btrix", "Spec92/NASA", BTRIX()},
-		{"eflux", "Perfect Club", EFLUX()},
-		{"tomcat", "Spec95", TOMCAT()},
-		{"tsf", "Perfect Club", TSF()},
-		{"vpenta", "Spec92/NASA", VPENTA()},
-		{"wss", "Perfect Club", WSS()},
-	}
+// kernels lists the eight kernels in the paper's Table 2 order with their
+// IR constructors, so a kernel's IR is built only when it is asked for.
+var kernels = [...]struct {
+	name, source string
+	build        func() *compiler.Program
+}{
+	{"adi", "Livermore", ADI},
+	{"aps", "Perfect Club", APS},
+	{"btrix", "Spec92/NASA", BTRIX},
+	{"eflux", "Perfect Club", EFLUX},
+	{"tomcat", "Spec95", TOMCAT},
+	{"tsf", "Perfect Club", TSF},
+	{"vpenta", "Spec92/NASA", VPENTA},
+	{"wss", "Perfect Club", WSS},
 }
 
-// ByName returns the kernel with the given name.
+// All returns the eight kernels in the paper's Table 2 order.
+func All() []Kernel {
+	ks := make([]Kernel, len(kernels))
+	for i, k := range kernels {
+		ks[i] = Kernel{k.name, k.source, k.build()}
+	}
+	return ks
+}
+
+// Names returns the kernel names in Table 2 order without building any IR.
+func Names() []string {
+	names := make([]string, len(kernels))
+	for i, k := range kernels {
+		names[i] = k.name
+	}
+	return names
+}
+
+// ByName builds the named kernel.
 func ByName(name string) (Kernel, bool) {
-	for _, k := range All() {
-		if k.Name == name {
-			return k, true
+	for _, k := range kernels {
+		if k.name == name {
+			return Kernel{k.name, k.source, k.build()}, true
 		}
 	}
 	return Kernel{}, false

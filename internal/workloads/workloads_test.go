@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"reuseiq/internal/compiler"
@@ -39,6 +40,25 @@ func TestByName(t *testing.T) {
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Error("ByName(nope) succeeded")
+	}
+}
+
+// ByName builds only the kernel it names, and Names builds none.
+func TestByNameBuildsOneKernel(t *testing.T) {
+	build := testing.AllocsPerRun(20, func() { WSS() })
+	byName := testing.AllocsPerRun(20, func() { ByName("wss") })
+	if byName > build {
+		t.Errorf("ByName(wss) costs %.0f allocations, building wss alone %.0f", byName, build)
+	}
+	if n := testing.AllocsPerRun(20, func() { Names() }); n > 1 {
+		t.Errorf("Names costs %.0f allocations, want the one slice", n)
+	}
+	var all []string
+	for _, k := range All() {
+		all = append(all, k.Name)
+	}
+	if got := Names(); !slices.Equal(got, all) {
+		t.Errorf("Names() = %v, All() names %v", got, all)
 	}
 }
 
