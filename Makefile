@@ -35,9 +35,10 @@ race:
 
 # Telemetry gate: run a gating kernel with tracing on and validate the
 # emitted Chrome trace JSON (well-formed, monotone timestamps, balanced
-# begin/end pairs, RIQ state-machine slices present); then record the same
-# kernel with the flight recorder, load it cold in reusedbg, export a
-# Perfetto window and validate it as a seekable window.
+# begin/end pairs, RIQ state-machine slices present); then write the same
+# kernel's flight-recorder manifest, load it cold in reusedbg (which
+# re-simulates the run to rebuild its events), export a Perfetto window and
+# validate it as a seekable window.
 telemetry-check:
 	@mkdir -p bench
 	go run ./cmd/reusesim -kernel aps -trace bench/telemetry-check.json > /dev/null
@@ -100,9 +101,9 @@ fuzz:
 # under a multi-level pattern, so the kernels take a second invocation; it
 # also runs aps at IQ 32 and 64 and btrix at IQ 128 and 256, which are
 # recorded but not watched.
-BENCH_RE        = ^(BenchmarkSimulatorSpeed|BenchmarkFlightRecorder)$$
+BENCH_RE        = ^BenchmarkSimulatorSpeed$$
 BENCH_KERNEL_RE = ^BenchmarkKernelStep$$/^(aps|btrix)$$/^iq(32|64|128|256)$$
-BENCH_WATCH     = BenchmarkSimulatorSpeed,BenchmarkFlightRecorder/on,BenchmarkFlightRecorder/off,BenchmarkKernelStep/aps/iq256,BenchmarkKernelStep/btrix/iq64,BenchmarkKernelStep/btrix/iq32,BenchmarkKernelStep/aps/iq128
+BENCH_WATCH     = BenchmarkSimulatorSpeed,BenchmarkKernelStep/aps/iq256,BenchmarkKernelStep/btrix/iq64,BenchmarkKernelStep/btrix/iq32,BenchmarkKernelStep/aps/iq128
 bench:
 	@mkdir -p bench
 	go test -run '^$$' -bench '$(BENCH_RE)' -benchmem -count 3 . | tee bench/latest.txt

@@ -16,7 +16,6 @@ import (
 	"reuseiq/internal/asm"
 	"reuseiq/internal/compiler"
 	"reuseiq/internal/experiments"
-	"reuseiq/internal/flightrec"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/power"
 	"reuseiq/internal/workloads"
@@ -191,52 +190,6 @@ func BenchmarkKernelStep(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 			})
 		}
-	}
-}
-
-// BenchmarkFlightRecorder measures what always-on time-travel recording
-// costs: the BenchmarkSimulatorSpeed workload with a persisted flight
-// recorder attached (on) against the identical bare run (off). The
-// acceptance bar (DESIGN.md §5i) is < 10% overhead on the on/off ratio;
-// benchdiff watches both subtests.
-func BenchmarkFlightRecorder(b *testing.B) {
-	p := asm.MustAssemble(`
-	li   $r2, 0
-	li   $r3, 100000
-loop:	add  $r2, $r2, $r3
-	addi $r3, $r3, -1
-	bne  $r3, $zero, loop
-	halt
-	`)
-	for _, on := range []bool{true, false} {
-		name := "off"
-		if on {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			dir := b.TempDir()
-			b.ResetTimer()
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				m := pipeline.New(pipeline.DefaultConfig(), p)
-				if on {
-					rec, err := flightrec.Attach(m, flightrec.Config{Dir: dir})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := m.Run(); err != nil {
-						b.Fatal(err)
-					}
-					if err := rec.Finish(); err != nil {
-						b.Fatal(err)
-					}
-				} else if err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-				cycles += m.C.Cycles
-			}
-			b.ReportMetric(float64(cycles)/float64(b.N), "cycles/run")
-		})
 	}
 }
 

@@ -1,10 +1,12 @@
 // Command reusedbg is the time-travel debugger over a flight-recorder
-// directory (reusesim -flightrec <dir>). It rebuilds the machine from the
-// recording's manifest and reaches any cycle in [0, end] by deterministic
-// replay — forward by stepping the live machine, backward by re-running from
-// cycle 0 (a cold seek to the end of btrix at IQ 32, the largest paper
-// cell, replays in about a second) — then exposes the live machine through
-// dump/diff/watch commands, and the recorded event timeline through
+// directory (reusesim -flightrec <dir>). The directory holds one manifest
+// naming the cell that ran. reusedbg re-simulates that cell once to rebuild
+// its whole telemetry event timeline, then reaches any cycle in [0, end] by
+// deterministic replay under the lockstep invariant checker — forward by
+// stepping the live machine, backward by re-running from cycle 0 (a cold
+// seek to the end of btrix at IQ 32, the largest paper cell, takes well
+// under a second, load included). It exposes the live machine through
+// dump/diff/watch commands, and the event timeline through
 // why/events/export.
 //
 // Usage:
@@ -12,7 +14,6 @@
 //	reusedbg -dir rec/                        # interactive REPL
 //	reusedbg -dir rec/ -e 'seek 50000' -e 'dump riq'
 //	reusedbg -dir rec/ -e 'why 62000'
-//	reusedbg -dir rec/ -no-verify -e 'info'   # skip replay invariant checks
 //
 // Every -e command runs in order against one shared session; the first
 // failure exits nonzero. With no -e flags a prompt loop reads commands from
@@ -48,14 +49,13 @@ func mainImpl(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("reusedbg", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", "", "flight-recorder directory (required)")
-	noVerify := fs.Bool("no-verify", false, "skip the lockstep invariant checker during replays")
 	var cmds multiFlag
 	fs.Var(&cmds, "e", "command to execute (repeatable; suppresses the REPL)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *dir == "" || fs.NArg() != 0 {
-		fmt.Fprintln(stderr, "usage: reusedbg -dir <recording> [-no-verify] [-e <cmd>]...")
+		fmt.Fprintln(stderr, "usage: reusedbg -dir <recording> [-e <cmd>]...")
 		return 2
 	}
 
@@ -64,9 +64,7 @@ func mainImpl(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "reusedbg:", err)
 		return 1
 	}
-	s := flightrec.NewSession(a)
-	s.Verify = !*noVerify
-	d, err := flightrec.NewDebugger(s, stdout)
+	d, err := flightrec.NewDebugger(flightrec.NewSession(a), stdout)
 	if err != nil {
 		fmt.Fprintln(stderr, "reusedbg:", err)
 		return 1

@@ -20,7 +20,7 @@
 //	reusesim -kernel aps -cpuprofile cpu.pprof -memprofile mem.pprof
 //	reusesim -kernel adi -listen 127.0.0.1:8080   # live /metrics /events
 //	                                              # /status /debug/pprof
-//	reusesim -kernel adi -flightrec rec/          # time-travel flight recording;
+//	reusesim -kernel adi -flightrec rec/          # write a flight-recorder manifest;
 //	                                              # debug with reusedbg -dir rec/
 //
 // Exit codes: 0 success, 1 runtime error, 2 flag error.
@@ -67,8 +67,8 @@ type opts struct {
 	sampleEvery uint64
 	stdout      io.Writer
 	stderr      io.Writer
-	// Flight recorder: frDir enables recording; frAsm is the assembly
-	// source a manifest carries when the workload is not a kernel.
+	// Flight recorder: frDir receives the run's manifest; frAsm is the
+	// assembly source it carries when the workload is not a kernel.
 	frDir string
 	frAsm string
 	// ledger, non-nil with -ledger, receives one provenance-stamped record
@@ -90,7 +90,7 @@ type simStatus struct {
 // publishSample snapshots the machine's registry (on the simulation
 // goroutine) and publishes it. The final sample after the run additionally
 // carries per-session energy attribution gauges.
-func publishSample(srv *obs.Server, m *pipeline.Machine, rec *flightrec.Recorder, final bool) {
+func publishSample(srv *obs.Server, m *pipeline.Machine, final bool) {
 	r := &telemetry.Registry{}
 	m.RegisterMetrics(r)
 	st := simStatus{
@@ -100,9 +100,6 @@ func publishSample(srv *obs.Server, m *pipeline.Machine, rec *flightrec.Recorder
 		RIQState: m.Ctl.State().String(),
 		GatedPct: 100 * m.GatedFraction(),
 		Halted:   m.Halted(),
-	}
-	if rec != nil {
-		rec.RegisterMetrics(r)
 	}
 	if m.Tel != nil {
 		st.Sessions = len(m.Tel.Sessions())
@@ -138,7 +135,7 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 	linger := fs.Duration("linger", 0, "with -listen, keep serving this long after the run ends")
 	sampleEvery := fs.Uint64("sample-every", 0, "with -listen, cycles between metric samples (0 = default 4096)")
 	ledgerPath := fs.String("ledger", "", "append a provenance-stamped run-ledger record (JSONL) for each completed run to this file; query with reusereport")
-	flightrecDir := fs.String("flightrec", "", "record a time-travel flight recording into this directory (seek it afterwards with reusedbg -dir)")
+	flightrecDir := fs.String("flightrec", "", "write a flight-recorder manifest of the run into this directory (reusedbg -dir re-simulates and seeks it)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -428,20 +425,18 @@ func run(p *prog.Program, sp cell.Spec, o *opts) (*pipeline.Machine, error) {
 		}
 		m.AttachTelemetry(tel)
 	}
-	var rec *flightrec.Recorder
+	man := flightrec.Manifest{Spec: sp, AsmSource: o.frAsm}
 	if o.frDir != "" {
-		var err error
-		rec, err = flightrec.Attach(m, flightrec.Config{Dir: o.frDir, Manifest: flightrec.Manifest{Spec: sp, AsmSource: o.frAsm}})
-		if err != nil {
+		if err := flightrec.Start(o.frDir, man, m); err != nil {
 			return nil, err
 		}
 	}
 
 	if o.srv != nil {
-		m.AttachSampler(o.sampleEvery, func() { publishSample(o.srv, m, rec, false) })
+		m.AttachSampler(o.sampleEvery, func() { publishSample(o.srv, m, false) })
 		// An immediate sample makes /readyz pass before the first interval
 		// elapses.
-		publishSample(o.srv, m, rec, false)
+		publishSample(o.srv, m, false)
 	}
 
 	var orc *lockstep.Oracle
@@ -449,22 +444,21 @@ func run(p *prog.Program, sp cell.Spec, o *opts) (*pipeline.Machine, error) {
 		orc = lockstep.Attach(m, p)
 	}
 	runErr := m.Run()
-	if rec != nil {
-		// Seal the recording even when the run failed: the directory is
+	if o.frDir != "" {
+		// Stamp the manifest even when the run failed: the directory is
 		// then the post-mortem artifact.
 		what := "recording"
 		if runErr != nil {
 			what = "post-mortem recording"
 		}
-		if err := rec.Finish(); err != nil {
-			err = fmt.Errorf("flightrec: %w", err)
+		if err := flightrec.Stamp(o.frDir, man, m); err != nil {
 			if runErr == nil {
 				return nil, err
 			}
 			fmt.Fprintln(o.stderr, "reusesim:", err)
 		} else {
-			fmt.Fprintf(o.stderr, "reusesim: flightrec: %s in %s: %d events, seekable cycles [0, %d]; debug with: reusedbg -dir %s\n",
-				what, o.frDir, rec.EventsTotal(), m.Cycle(), o.frDir)
+			fmt.Fprintf(o.stderr, "reusesim: flightrec: %s in %s: seekable cycles [0, %d]; debug with: reusedbg -dir %s\n",
+				what, o.frDir, m.Cycle(), o.frDir)
 		}
 	}
 	if runErr != nil {
@@ -474,7 +468,7 @@ func run(p *prog.Program, sp cell.Spec, o *opts) (*pipeline.Machine, error) {
 		m.Tel.Finalize(m.Cycle())
 	}
 	if o.srv != nil {
-		publishSample(o.srv, m, rec, true)
+		publishSample(o.srv, m, true)
 	}
 	if flushEvents != nil {
 		if err := flushEvents(); err != nil {

@@ -99,12 +99,13 @@ type Suite struct {
 	// correlated with ledger records. Calls are serialized; cached specs
 	// report instantly. cmd/reusebench uses it for live sweep progress.
 	Progress func(done, total int, sp Spec, r RunResult)
-	// FlightRecDir, when non-empty, runs every cell with a flight recorder
-	// attached: a cell that aborts (even after its retry) leaves its
-	// recording under this directory as a post-mortem artifact
-	// (RunResult.FlightRec; open with reusedbg -dir), while healthy cells
-	// delete theirs on completion. Sweeps pay wall-clock for the
-	// debuggability.
+	// FlightRecDir, when non-empty, writes a flight-recorder manifest for
+	// every cell attempt under this directory: a cell that aborts (even
+	// after its retry) leaves its recording as a post-mortem artifact
+	// (RunResult.FlightRec; open with reusedbg -dir, which re-simulates
+	// it), while healthy cells delete theirs on completion. Nothing is
+	// attached to the machine, so a recorded run costs two small file
+	// writes.
 	FlightRecDir string
 
 	// journal, when non-nil, persists completed cells and mid-cell machine
@@ -248,32 +249,29 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 	if m == nil {
 		m = pipeline.New(run.Config(), mp)
 	}
-	// attempt runs the machine once, with a flight recorder attached when
-	// the suite records. A recording that survives its run (the run
-	// aborted) is the cell's post-mortem artifact; healthy runs delete
-	// theirs so a long sweep leaves artifacts only where they matter.
+	// attempt runs the machine once, between the two writes of its
+	// flight-recorder manifest when the suite records. A recording that
+	// survives its run (the run aborted) is the cell's post-mortem
+	// artifact; healthy runs delete theirs so a long sweep leaves artifacts
+	// only where they matter.
 	var postMortem string
 	attempt := func(m *pipeline.Machine, try int) error {
-		var rec *flightrec.Recorder
-		dir := ""
-		if s.FlightRecDir != "" {
-			dir = filepath.Join(s.FlightRecDir, fmt.Sprintf("%s-try%d", sp.Name(cell.RecorderDir), try))
-			var aerr error
-			rec, aerr = flightrec.Attach(m, flightrec.Config{Dir: dir, Manifest: flightrec.Manifest{Spec: run}})
-			if aerr != nil {
-				return aerr
-			}
+		if s.FlightRecDir == "" {
+			return runJournaled(j, sp, m)
+		}
+		dir := filepath.Join(s.FlightRecDir, fmt.Sprintf("%s-try%d", sp.Name(cell.RecorderDir), try))
+		man := flightrec.Manifest{Spec: run}
+		if err := flightrec.Start(dir, man, m); err != nil {
+			return err
 		}
 		err := runJournaled(j, sp, m)
-		if rec != nil {
-			if ferr := rec.Finish(); ferr != nil && err == nil {
-				err = ferr
-			}
-			if err != nil {
-				postMortem = dir
-			} else {
-				_ = os.RemoveAll(dir)
-			}
+		if serr := flightrec.Stamp(dir, man, m); serr != nil && err == nil {
+			err = serr
+		}
+		if err != nil {
+			postMortem = dir
+		} else {
+			_ = os.RemoveAll(dir)
 		}
 		return err
 	}

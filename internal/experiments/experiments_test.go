@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -25,6 +27,11 @@ func TestTablesRender(t *testing.T) {
 		if !strings.Contains(t2, k) {
 			t.Errorf("Table 2 missing %s", k)
 		}
+	}
+	// Table 2 prints names and sources only; building the eight kernels'
+	// IR for it would cost about 1,500 allocations.
+	if n := testing.AllocsPerRun(5, func() { Table2() }); n > 64 {
+		t.Errorf("Table2 costs %.0f allocations, want at most 64 (no kernel IR built)", n)
 	}
 }
 
@@ -289,7 +296,8 @@ func TestSweepMetricsTrackPrewarm(t *testing.T) {
 }
 
 // TestFlightRecPostMortem: with FlightRecDir set, a sabotaged cell leaves a
-// loadable post-mortem recording and reports its directory, while a healthy
+// post-mortem recording, a directory holding only its manifest, and reports
+// it; the debugger re-simulates it and explains and exports it. A healthy
 // cell cleans its recording up.
 func TestFlightRecPostMortem(t *testing.T) {
 	dir := t.TempDir()
@@ -307,17 +315,46 @@ func TestFlightRecPostMortem(t *testing.T) {
 	if failed.FlightRec == "" {
 		t.Fatal("failed cell left no post-mortem recording directory")
 	}
+	files, err := os.ReadDir(failed.FlightRec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || files[0].Name() != flightrec.ManifestName {
+		t.Errorf("post-mortem directory holds %v, want only %s", files, flightrec.ManifestName)
+	}
 	a, err := flightrec.Load(failed.FlightRec)
 	if err != nil {
 		t.Fatalf("post-mortem recording does not load: %v", err)
 	}
-	sess := flightrec.NewSession(a)
-	defer sess.Close()
-	if err := sess.Seek(a.End); err != nil {
-		t.Fatalf("post-mortem recording does not seek to its end: %v", err)
+	if a.End != failed.Cycles || a.Halted {
+		t.Errorf("post-mortem recording ends at cycle %d (halted %v), the cell aborted at %d", a.End, a.Halted, failed.Cycles)
 	}
-	if sess.Cycle() != a.End {
-		t.Errorf("seek landed at cycle %d, want %d", sess.Cycle(), a.End)
+	var out strings.Builder
+	d, err := flightrec.NewDebugger(flightrec.NewSession(a), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	window := filepath.Join(t.TempDir(), "window.json")
+	for _, c := range []struct{ cmd, want string }{
+		{fmt.Sprintf("seek %d", a.End), fmt.Sprintf("at cycle %d", a.End)},
+		{fmt.Sprintf("why %d", a.End), "RIQ in"},
+		{fmt.Sprintf("export %s 0 %d", window, a.End), "wrote"},
+	} {
+		out.Reset()
+		if err := d.Exec(c.cmd); err != nil {
+			t.Fatalf("%s: %v", c.cmd, err)
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Errorf("%s: output lacks %q:\n%s", c.cmd, c.want, out.String())
+		}
+	}
+	data, err := os.ReadFile(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.ValidateTraceWindow(bytes.NewReader(data)); err != nil {
+		t.Errorf("exported post-mortem window: %v", err)
 	}
 
 	healthy, err := s.Run(Spec{Kernel: "aps", IQSize: 32, Reuse: false})

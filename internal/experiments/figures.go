@@ -84,8 +84,8 @@ func Table1() string {
 func Table2() string {
 	var b strings.Builder
 	b.WriteString("Table 2: array-intensive applications\n")
-	for _, k := range workloads.All() {
-		fmt.Fprintf(&b, "  %-8s %s\n", k.Name, k.Source)
+	for _, name := range workloads.Names() {
+		fmt.Fprintf(&b, "  %-8s %s\n", name, workloads.Source(name))
 	}
 	return b.String()
 }

@@ -1,9 +1,9 @@
 package flightrec
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,7 +28,7 @@ type Manifest struct {
 	cell.Spec
 	AsmSource string `json:"asm_source,omitempty"`
 
-	// Outcome, stamped by Recorder.Finish.
+	// Outcome, stamped by Stamp; zero while the run is in flight.
 	FinalCycle uint64 `json:"final_cycle"`
 	Halted     bool   `json:"halted"`
 
@@ -78,22 +78,20 @@ func DecodeManifest(data []byte) (Manifest, error) {
 	return man, nil
 }
 
-// Archive is a frozen recording: everything a debugger session needs to seek.
-// Build one from a live Recorder (Recorder.Archive) or from a persisted
-// directory (Load).
+// Archive is a loaded recording: everything a debugger session needs to
+// seek, plus the run's whole event timeline.
 type Archive struct {
 	Man    Manifest
 	Cfg    pipeline.Config
 	Prog   *prog.Program
-	Events []telemetry.Event // ascending by cycle (ring order)
-	// End is the last cycle the recording covers: the final simulated cycle
-	// for a completed run, the newest event's cycle for a recording
-	// recovered from a crash.
+	Events []telemetry.Event // every event the run emitted, ascending by cycle
+	// End is the last cycle the recording covers: where the re-simulation
+	// stopped, which a stamped manifest's final_cycle must match.
 	End    uint64
 	Halted bool
 }
 
-// EventsBetween returns the retained events with from <= cycle <= to.
+// EventsBetween returns the events with from <= cycle <= to.
 func (a *Archive) EventsBetween(from, to uint64) []telemetry.Event {
 	lo := sort.Search(len(a.Events), func(i int) bool { return a.Events[i].Cycle >= from })
 	hi := sort.Search(len(a.Events), func(i int) bool { return a.Events[i].Cycle > to })
@@ -103,26 +101,16 @@ func (a *Archive) EventsBetween(from, to uint64) []telemetry.Event {
 	return a.Events[lo:hi]
 }
 
-// writeManifest persists a manifest atomically.
-func writeManifest(dir string, man Manifest) error {
-	data, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	tmp := filepath.Join(dir, ManifestName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, ManifestName))
-}
-
-// Load opens a persisted recording, rebuilding the machine configuration and
-// program from the manifest. It is deliberately forgiving about the event
-// segments — a recording left by a crashed process may have a torn event
-// tail, and one written before seeks became replays may hold checkpoint
-// images, which are ignored — but strict about identity: fingerprint
-// mismatches are errors.
+// Load opens a recording: it rebuilds the machine configuration and
+// program from the manifest, refuses a fingerprint mismatch, and
+// re-simulates the run once from cycle 0 to collect its event timeline.
+// A stamped manifest's run stops at its final_cycle, and must arrive there
+// with the manifest's halt state, or Load reports a divergence; a run
+// stopped by a check outside its cell (reusesim -verify's oracle) thus
+// replays up to where that check fired. An unstamped manifest (the process
+// died mid-run) runs to wherever the cell stops. Anything else in the
+// directory is ignored, such as the checkpoint images and event segments
+// that older recordings wrote.
 func Load(dir string) (*Archive, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -152,51 +140,26 @@ func Load(dir string) (*Archive, error) {
 			return nil, fmt.Errorf("flightrec: %s: rebuilt program hash %s, manifest says %s", dir, got, man.ProgramHash)
 		}
 	}
-	a := &Archive{Man: man, Cfg: cfg, Prog: p, End: man.FinalCycle, Halted: man.Halted}
 
-	segs, err := filepath.Glob(filepath.Join(dir, "events-*.jsonl"))
-	if err != nil {
-		return nil, fmt.Errorf("flightrec: %w", err)
+	m := pipeline.New(cfg, p)
+	defer m.Release()
+	tel := telemetry.New(telemetry.Config{})
+	var events []telemetry.Event
+	tel.Sink = func(e telemetry.Event) { events = append(events, e) }
+	m.AttachTelemetry(tel)
+	var runErr error
+	if man.FinalCycle == 0 {
+		runErr = m.Run()
+	} else {
+		runErr = m.RunBreakable(1, func() bool { return m.Cycle() >= man.FinalCycle })
 	}
-	sort.Strings(segs) // zero-padded ordinal in the name → lexical == recording order
-	for _, path := range segs {
-		evs, err := readSegment(path)
-		if err != nil {
-			return nil, err
+	if man.FinalCycle != 0 && (m.Cycle() != man.FinalCycle || m.Halted() != man.Halted) {
+		err := fmt.Errorf("flightrec: %s: re-simulation diverged: it stopped at cycle %d (halted %v), the manifest says cycle %d (halted %v)",
+			dir, m.Cycle(), m.Halted(), man.FinalCycle, man.Halted)
+		if runErr != nil && !errors.Is(runErr, pipeline.ErrStopped) {
+			err = fmt.Errorf("%w: %w", err, runErr)
 		}
-		a.Events = append(a.Events, evs...)
+		return nil, err
 	}
-	sort.SliceStable(a.Events, func(i, j int) bool { return a.Events[i].Cycle < a.Events[j].Cycle })
-	if n := len(a.Events); n > 0 && a.Events[n-1].Cycle > a.End {
-		// Crashed before Finish: the manifest still says 0. The archive
-		// covers the run up to its newest event.
-		a.End = a.Events[n-1].Cycle
-	}
-	return a, nil
-}
-
-// readSegment parses one JSONL event segment. A torn trailing line (crash
-// mid-write) is tolerated; garbage anywhere else is an error.
-func readSegment(path string) ([]telemetry.Event, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("flightrec: %w", err)
-	}
-	var out []telemetry.Event
-	lines := bytes.Split(data, []byte{'\n'})
-	for i, line := range lines {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		e, err := telemetry.UnmarshalEvent(line)
-		if err != nil {
-			if i >= len(lines)-2 { // torn tail
-				break
-			}
-			return nil, fmt.Errorf("flightrec: %s:%d: %w", path, i+1, err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
+	return &Archive{Man: man, Cfg: cfg, Prog: p, Events: events, End: m.Cycle(), Halted: m.Halted()}, nil
 }

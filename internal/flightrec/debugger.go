@@ -22,8 +22,6 @@ type Debugger struct {
 }
 
 // NewDebugger positions s at cycle 0, so every command works immediately.
-// Set s.Verify before calling: the cursor's machine keeps the checker
-// choice it was built with until a backward seek rebuilds it.
 func NewDebugger(s *Session, out io.Writer) (*Debugger, error) {
 	if err := s.Seek(0); err != nil {
 		s.Close()
@@ -84,7 +82,7 @@ func (d *Debugger) help() {
   watch <ctr> <op> <n>      run until counter op n (ops: < <= == != >= >)
                             counters: `+strings.Join(counterNames(), " ")+`
   why [cycle]               causal chain for the condition at a cycle
-  events [from [to]]        list recorded telemetry events in a window
+  events [from [to]]        list the run's telemetry events in a window
   export <file> [from to]   write a Perfetto trace window (ts == cycle)
   help                      this text
 `)
@@ -96,7 +94,7 @@ func (d *Debugger) info() error {
 	fmt.Fprintf(d.Out, "cursor   cycle %d\n", d.S.Cycle())
 	fmt.Fprintf(d.Out, "seekable [%d, %d] (%d cycles)\n", from, to, to-from+1)
 	fmt.Fprintf(d.Out, "halted   %v\n", a.Halted)
-	fmt.Fprintf(d.Out, "events   %d retained", len(a.Events))
+	fmt.Fprintf(d.Out, "events   %d", len(a.Events))
 	if len(a.Events) > 0 {
 		fmt.Fprintf(d.Out, " (cycles %d..%d)", a.Events[0].Cycle, a.Events[len(a.Events)-1].Cycle)
 	}

@@ -9,10 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"reuseiq/internal/asm"
 	"reuseiq/internal/cell"
-	"reuseiq/internal/chaos"
-	"reuseiq/internal/pipeline"
 	"reuseiq/internal/telemetry"
 )
 
@@ -28,37 +25,15 @@ loop:	add  $r2, $r2, $r3
 `
 
 // TestDebuggerSession drives the recorder → debugger pipeline end to end:
-// record a chaos run to disk, load it cold, seek a spread of cycles against
-// an uninterrupted run, run every scripted debugger command, and validate
-// the exported Perfetto window.
+// record a chaos run's manifest to disk, load it cold, seek a spread of
+// cycles against an uninterrupted run, run every scripted debugger
+// command, and validate the exported Perfetto window.
 func TestDebuggerSession(t *testing.T) {
 	const chaosSeed = 42
-	p, err := asm.Assemble(gateSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := pipeline.DefaultConfig()
-	cfg.Reuse.Enabled = true
-	cfg.Chaos = chaos.DefaultConfig(chaosSeed)
+	man := Manifest{Spec: cell.Spec{IQSize: 64, Reuse: true, NBLTSize: cell.DefaultNBLT, ChaosSeed: chaosSeed}, AsmSource: gateSource}
+	cfg, p := man.Config(), programOf(t, man)
 	dir := t.TempDir()
-
-	// Record.
-	m := pipeline.New(cfg, p)
-	rec, err := Attach(m, Config{
-		Dir:      dir,
-		Manifest: Manifest{Spec: cell.Spec{IQSize: 64, Reuse: true, NBLTSize: cell.DefaultNBLT, ChaosSeed: chaosSeed}, AsmSource: gateSource},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Run(); err != nil {
-		t.Fatalf("recorded run: %v", err)
-	}
-	if err := rec.Finish(); err != nil {
-		t.Fatalf("finish recording: %v", err)
-	}
-	end := m.Cycle()
-	m.Release()
+	end, _ := recordIn(t, dir, man)
 
 	// Load from disk and seek-verify against an uninterrupted run.
 	a, err := Load(dir)

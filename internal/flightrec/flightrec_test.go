@@ -6,13 +6,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"reuseiq/internal/asm"
 	"reuseiq/internal/cell"
-	"reuseiq/internal/chaos"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/prog"
 	"reuseiq/internal/snapshot"
@@ -46,22 +46,79 @@ func loopProgram(t *testing.T) *prog.Program {
 	return p
 }
 
-// record runs p to completion under cfg with a recorder attached and
-// returns the archive.
-func record(t *testing.T, cfg pipeline.Config, p *prog.Program, rc Config) *Archive {
+// programOf builds the program man names.
+func programOf(t *testing.T, man Manifest) *prog.Program {
 	t.Helper()
-	m := pipeline.New(cfg, p)
-	rec, err := Attach(m, rc)
+	if man.AsmSource != "" {
+		p, err := asm.Assemble(man.AsmSource)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p, _, err := man.Program()
 	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// recordIn runs man's cell to completion the way reusesim -flightrec does:
+// the manifest is written into dir before the run and stamped after it,
+// and nothing is attached to the machine. It returns where the run stopped.
+func recordIn(t *testing.T, dir string, man Manifest) (end uint64, halted bool) {
+	t.Helper()
+	m := pipeline.New(man.Config(), programOf(t, man))
+	defer m.Release()
+	if err := Start(dir, man, m); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Finish(); err != nil {
+	if err := Stamp(dir, man, m); err != nil {
 		t.Fatal(err)
 	}
-	return rec.Archive()
+	return m.Cycle(), m.Halted()
+}
+
+// record records man's cell into a fresh directory and loads it back.
+func record(t *testing.T, man Manifest) *Archive {
+	t.Helper()
+	dir := t.TempDir()
+	recordIn(t, dir, man)
+	a, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// traced runs man's cell uninterrupted with a default tracer attached and
+// returns its sink stream and where it stopped.
+func traced(t *testing.T, man Manifest) (events []telemetry.Event, end uint64, halted bool) {
+	t.Helper()
+	m := pipeline.New(man.Config(), programOf(t, man))
+	defer m.Release()
+	tel := telemetry.New(telemetry.Config{})
+	tel.Sink = func(e telemetry.Event) { events = append(events, e) }
+	m.AttachTelemetry(tel)
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return events, m.Cycle(), m.Halted()
+}
+
+// rewriteManifest replaces dir's manifest with man, as written by hand.
+func rewriteManifest(t *testing.T, dir string, man Manifest) {
+	t.Helper()
+	data, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // image encodes m's state as a snapshot image: the byte-exact currency the
@@ -123,10 +180,9 @@ func reference(t *testing.T, cfg pipeline.Config, p *prog.Program, targets []uin
 // cycle. Exercised under fault injection (chaos), so the replays also prove
 // the injector's PRNG stream replays exactly.
 func TestSeekDeterminism(t *testing.T) {
-	p := loopProgram(t)
-	cfg := pipeline.DefaultConfig()
-	cfg.Chaos = chaos.DefaultConfig(42)
-	a := record(t, cfg, p, Config{})
+	man := loopManifest(42)
+	cfg, p := man.Config(), loopProgram(t)
+	a := record(t, man)
 
 	rng := rand.New(rand.NewSource(1))
 	targets := []uint64{0, 1, a.End - 1, a.End}
@@ -173,13 +229,9 @@ func TestSeekEveryKernel(t *testing.T) {
 	for i, k := range workloads.All() {
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			sp := cell.Spec{Kernel: k.Name, IQSize: 32, Reuse: true, NBLTSize: cell.DefaultNBLT}
-			cfg := sp.Config()
-			p, _, err := sp.Program()
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := record(t, cfg, p, Config{})
+			man := Manifest{Spec: cell.Spec{Kernel: k.Name, IQSize: 32, Reuse: true, NBLTSize: cell.DefaultNBLT}}
+			cfg, p := man.Config(), programOf(t, man)
+			a := record(t, man)
 
 			rng := rand.New(rand.NewSource(int64(i + 1)))
 			pick := func(lo, hi uint64) uint64 { return lo + uint64(rng.Int63n(int64(hi-lo+1))) }
@@ -210,180 +262,190 @@ func TestSeekEveryKernel(t *testing.T) {
 	}
 }
 
-// TestDiskRoundtrip: persist a recording, load it cold (config and program
-// rebuilt from the manifest alone), and prove the loaded archive carries the
-// same events and seeks to the same bytes as the live one.
+// TestDiskRoundtrip: a recording directory holds only its manifest; it
+// loads cold (config and program rebuilt from the manifest alone), ends
+// where the recorded run stopped, and seeks to the bytes of an
+// uninterrupted run.
 func TestDiskRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	p := loopProgram(t)
-	cfg := pipeline.DefaultConfig()
-	cfg.Chaos = chaos.DefaultConfig(7)
-
-	live := record(t, cfg, p, Config{
-		Dir:      dir,
-		Manifest: loopManifest(7),
-	})
-	segs, _ := filepath.Glob(filepath.Join(dir, "events-*.jsonl"))
-	if len(segs) != 1 {
-		t.Fatalf("persisted %d event segments, want 1 for a run under %d events", len(segs), DefaultEvents)
-	}
-
-	loaded, err := Load(dir)
+	man := loopManifest(7)
+	cfg, p := man.Config(), loopProgram(t)
+	end, halted := recordIn(t, dir, man)
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.End != live.End || loaded.Halted != live.Halted {
-		t.Fatalf("loaded end=%d halted=%v, live end=%d halted=%v", loaded.End, loaded.Halted, live.End, live.Halted)
-	}
-	if !reflect.DeepEqual(loaded.Events, live.Events) {
-		t.Fatalf("loaded %d events, live kept %d, or they differ", len(loaded.Events), len(live.Events))
+	if len(ents) != 1 || ents[0].Name() != ManifestName {
+		t.Fatalf("recording directory holds %v, want only %s", ents, ManifestName)
 	}
 
-	ls, vs := NewSession(loaded), NewSession(live)
-	defer ls.Close()
-	defer vs.Close()
-	for _, n := range []uint64{loaded.End / 2, 1234, loaded.End} {
-		if err := ls.Seek(n); err != nil {
-			t.Fatalf("loaded seek %d: %v", n, err)
-		}
-		if err := vs.Seek(n); err != nil {
-			t.Fatalf("live seek %d: %v", n, err)
-		}
-		if !bytes.Equal(image(t, ls.Machine()), image(t, vs.Machine())) {
-			t.Fatalf("cycle %d: loaded archive and live archive disagree", n)
-		}
-	}
-}
-
-// TestSegmentRotation: segments rotate every DefaultEvents lines and only
-// the newest two stay, which still hold every event the in-memory ring
-// retains.
-func TestSegmentRotation(t *testing.T) {
-	dir := t.TempDir()
-	m := pipeline.New(pipeline.DefaultConfig(), loopProgram(t))
-	defer m.Release()
-	rec, err := Attach(m, Config{Dir: dir, Manifest: loopManifest(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := m.Tel.Sink
-	const total = 2*DefaultEvents + 100
-	for i := range total {
-		sink(telemetry.Event{Cycle: uint64(i), Kind: telemetry.EvBuffer, PC: 0x40})
-	}
-	if err := rec.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "events-*.jsonl"))
-	if len(segs) != 2 {
-		t.Fatalf("%d event segments on disk, want the newest 2", len(segs))
-	}
 	a, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Events) != DefaultEvents+100 {
-		t.Fatalf("loaded %d events, want %d", len(a.Events), DefaultEvents+100)
+	if a.End != end || a.Halted != halted {
+		t.Fatalf("loaded end=%d halted=%v, the run stopped at %d halted=%v", a.End, a.Halted, end, halted)
 	}
-	if !reflect.DeepEqual(a.Events[100:], rec.Events()) {
-		t.Fatal("the newest segments do not hold the in-memory ring's events")
+	targets := []uint64{a.End / 2, 1234, a.End}
+	want := reference(t, cfg, p, targets)
+	s := NewSession(a)
+	defer s.Close()
+	for _, n := range targets {
+		if err := s.Seek(n); err != nil {
+			t.Fatalf("seek %d: %v", n, err)
+		}
+		if !bytes.Equal(image(t, s.Machine()), want[n].image) {
+			t.Fatalf("cycle %d: loaded recording differs from an uninterrupted run", n)
+		}
 	}
 }
 
-// TestCrashArtifact: a recording directory abandoned without Finish (the
-// crash case) must still load — torn event tail tolerated, end derived from
-// the newest event — and seek to its end. A directory holding only the
-// manifest and a torn segment is the degenerate case.
+// TestReplayEvents: a loaded recording's events are, in order, exactly the
+// sink stream of an uninterrupted traced run of the same cell, though
+// nothing was attached while the recorded run ran. Outside -race the cell
+// is btrix at IQ 256 under chaos seed 7, whose event history is longer
+// than a 64 Ki-event ring holds; under -race it is the loop program.
+func TestReplayEvents(t *testing.T) {
+	man := loopManifest(7)
+	if !raceEnabled {
+		man = Manifest{Spec: cell.Spec{Kernel: "btrix", IQSize: 256, Reuse: true, NBLTSize: cell.DefaultNBLT, ChaosSeed: 7}}
+	}
+	a := record(t, man)
+	want, end, halted := traced(t, man)
+	if a.End != end || a.Halted != halted {
+		t.Fatalf("loaded end=%d halted=%v, the traced run stopped at %d halted=%v", a.End, a.Halted, end, halted)
+	}
+	if !slices.Equal(a.Events, want) {
+		t.Fatalf("loaded %d events, the traced run emitted %d, or they differ", len(a.Events), len(want))
+	}
+	if !raceEnabled && len(want) <= 1<<16 {
+		t.Fatalf("btrix IQ 256 chaos 7 emitted %d events; the test wants a history longer than 64 Ki", len(want))
+	}
+}
+
+// TestCrashArtifact: a manifest never stamped (the process died mid-run,
+// or before its first cycle) still loads. Its end is where the cell's
+// re-run stops, its events are the whole run's, and it seeks to that end.
 func TestCrashArtifact(t *testing.T) {
-	p := loopProgram(t)
-	cfg := pipeline.DefaultConfig()
-	cfg.Chaos = chaos.DefaultConfig(11)
 	man := loopManifest(11)
+	cfg, p := man.Config(), loopProgram(t)
+	want, end, halted := traced(t, man)
 	const stopAt = 20_000
 
-	tearLastSegment := func(dir string) {
+	load := func(t *testing.T, dir string) {
 		t.Helper()
-		segs, _ := filepath.Glob(filepath.Join(dir, "events-*.jsonl"))
-		if len(segs) == 0 {
-			t.Fatal("no event segments on disk")
-		}
-		sort.Strings(segs)
-		f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+		a, err := Load(dir)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("loading a crash artifact: %v", err)
 		}
-		if _, err := f.WriteString(`{"cycle":99999,"kind":"comm`); err != nil {
-			t.Fatal(err)
+		if a.End != end || a.Halted != halted {
+			t.Fatalf("end %d halted %v, want the re-run's %d halted %v", a.End, a.Halted, end, halted)
 		}
-		f.Close()
+		if !slices.Equal(a.Events, want) {
+			t.Fatalf("crash artifact loaded %d events, the whole run emits %d", len(a.Events), len(want))
+		}
+		ref := reference(t, cfg, p, []uint64{a.End})
+		s := NewSession(a)
+		defer s.Close()
+		if err := s.Seek(a.End); err != nil {
+			t.Fatalf("seek the end of a crash artifact: %v", err)
+		}
+		if !bytes.Equal(image(t, s.Machine()), ref[a.End].image) {
+			t.Fatal("crash artifact's end differs from an uninterrupted run")
+		}
 	}
 
 	t.Run("events", func(t *testing.T) {
 		dir := t.TempDir()
 		m := pipeline.New(cfg, p)
 		defer m.Release()
-		if _, err := Attach(m, Config{Dir: dir, Manifest: man}); err != nil {
+		if err := Start(dir, man, m); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.RunBreakable(64, func() bool { return m.Cycle() >= stopAt }); err != pipeline.ErrStopped {
 			t.Fatalf("run: %v", err)
 		}
-		// No Finish: the segment holds what its buffer flushed, usually
-		// ending mid-line, plus an explicitly torn line.
-		tearLastSegment(dir)
-
-		a, err := Load(dir)
-		if err != nil {
-			t.Fatalf("loading a crash artifact: %v", err)
+		if stopAt >= end {
+			t.Fatalf("the run ends at cycle %d, before the crash at %d", end, stopAt)
 		}
-		if len(a.Events) == 0 {
-			t.Fatal("crash artifact loaded no events; the run should have flushed some")
-		}
-		if a.End != a.Events[len(a.Events)-1].Cycle || a.End > stopAt {
-			t.Fatalf("end %d: want the newest event's cycle %d, at most %d", a.End, a.Events[len(a.Events)-1].Cycle, stopAt)
-		}
-		want := reference(t, cfg, p, []uint64{a.End})
-		s := NewSession(a)
-		defer s.Close()
-		if err := s.Seek(a.End); err != nil {
-			t.Fatalf("seek the end of a crash artifact: %v", err)
-		}
-		if !bytes.Equal(image(t, s.Machine()), want[a.End].image) {
-			t.Fatal("crash artifact's end differs from an uninterrupted run")
-		}
+		load(t, dir) // no Stamp: the run died at stopAt
 	})
 
 	t.Run("manifest only", func(t *testing.T) {
 		dir := t.TempDir()
 		m := pipeline.New(cfg, p)
 		defer m.Release()
-		if _, err := Attach(m, Config{Dir: dir, Manifest: man}); err != nil {
+		if err := Start(dir, man, m); err != nil {
 			t.Fatal(err)
 		}
-		tearLastSegment(dir)
-		a, err := Load(dir)
-		if err != nil {
-			t.Fatalf("loading a crash artifact: %v", err)
-		}
-		if a.End != 0 || len(a.Events) != 0 {
-			t.Fatalf("end %d with %d events, want 0 and none", a.End, len(a.Events))
-		}
-		s := NewSession(a)
-		defer s.Close()
-		if err := s.Seek(a.End); err != nil {
-			t.Fatalf("seek the end of a crash artifact: %v", err)
-		}
+		load(t, dir) // died before its first cycle
 	})
 }
 
-// TestOldFormatArtifact: a recording written when seeks restored checkpoint
-// images — a manifest with "interval" and "depth", plus ckpt-*.img files —
-// still loads, ignoring the images, and seeks by replay.
+// TestStampedEnd: a stamped manifest's final cycle and halt state must be
+// where the re-run arrives. One the re-run cannot reach, or one claiming a
+// halt the run never made, is refused as a divergence. One that stops
+// early without a halt is a run stopped by a check outside its cell (the
+// -verify oracle), and loads up to that cycle.
+func TestStampedEnd(t *testing.T) {
+	dir := t.TempDir()
+	man := loopManifest(5)
+	end, halted := recordIn(t, dir, man)
+	if !halted {
+		t.Fatal("the loop program did not halt")
+	}
+	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamped, err := DecodeManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		final  uint64
+		halted bool
+	}{
+		{"beyond the end", end + 1000, true},
+		{"beyond the end, not halted", end + 1, false},
+		{"early halt", end / 2, true},
+		{"end without its halt", end, false},
+	} {
+		bad := stamped
+		bad.FinalCycle, bad.Halted = tc.final, tc.halted
+		rewriteManifest(t, dir, bad)
+		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "diverged") {
+			t.Errorf("%s (cycle %d, halted %v): Load = %v, want a divergence", tc.name, tc.final, tc.halted, err)
+		}
+	}
+
+	early := stamped
+	early.FinalCycle, early.Halted = end/2, false
+	rewriteManifest(t, dir, early)
+	a, err := Load(dir)
+	if err != nil {
+		t.Fatalf("a run stopped early: %v", err)
+	}
+	if a.End != end/2 || a.Halted {
+		t.Fatalf("a run stopped early loads with end %d halted %v, want %d and not halted", a.End, a.Halted, end/2)
+	}
+	if n := len(a.Events); n == 0 || a.Events[n-1].Cycle > a.End {
+		t.Fatalf("a run stopped at cycle %d loads %d events, the last past its end", a.End, n)
+	}
+}
+
+// TestOldFormatArtifact: a recording written by older builds — a manifest
+// with "interval" and "depth", ckpt-*.img checkpoint images and
+// events-*.jsonl event segments beside it — still loads, ignoring the
+// images and the segments, and seeks by replay.
 func TestOldFormatArtifact(t *testing.T) {
 	dir := t.TempDir()
-	p := loopProgram(t)
-	cfg := pipeline.DefaultConfig()
-	live := record(t, cfg, p, Config{Dir: dir, Manifest: loopManifest(0)})
+	man := loopManifest(0)
+	cfg, p := man.Config(), loopProgram(t)
+	end, _ := recordIn(t, dir, man)
+	want, _, _ := traced(t, man)
 
 	path := filepath.Join(dir, ManifestName)
 	data, err := os.ReadFile(path)
@@ -406,8 +468,14 @@ func TestOldFormatArtifact(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"ckpt-00000000000000000000.img", "ckpt-00000000000000065536.img"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("REUSEIQS stale image"), 0o644); err != nil {
+	for name, body := range map[string]string{
+		"ckpt-00000000000000000000.img": "REUSEIQS stale image",
+		"ckpt-00000000000000065536.img": "REUSEIQS stale image",
+		// A stale segment whose events no run emitted, then a torn line.
+		"events-00000000000000000000.jsonl": `{"cycle":3,"kind":"buffer","pc":"0x40"}` + "\n" + `{"cycle":99999,"kind":"comm`,
+		"events-00000000000000065536.jsonl": "not json at all\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -416,16 +484,16 @@ func TestOldFormatArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading an old-format recording: %v", err)
 	}
-	if a.End != live.End || len(a.Events) != len(live.Events) {
-		t.Fatalf("loaded end=%d with %d events, live end=%d with %d", a.End, len(a.Events), live.End, len(live.Events))
+	if a.End != end || !slices.Equal(a.Events, want) {
+		t.Fatalf("loaded end=%d with %d events, the run ended at %d with %d", a.End, len(a.Events), end, len(want))
 	}
-	want := reference(t, cfg, p, []uint64{a.End / 2})
+	ref := reference(t, cfg, p, []uint64{a.End / 2})
 	s := NewSession(a)
 	defer s.Close()
 	if err := s.Seek(a.End / 2); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(image(t, s.Machine()), want[a.End/2].image) {
+	if !bytes.Equal(image(t, s.Machine()), ref[a.End/2].image) {
 		t.Fatal("old-format recording seeks to a state that differs from an uninterrupted run")
 	}
 }
@@ -434,9 +502,7 @@ func TestOldFormatArtifact(t *testing.T) {
 // cycles); reverse stepping replays from cycle 0 and lands on the identical
 // image the forward pass saw.
 func TestStepAndRStep(t *testing.T) {
-	p := loopProgram(t)
-	cfg := pipeline.DefaultConfig()
-	a := record(t, cfg, p, Config{})
+	a := record(t, loopManifest(0))
 
 	s := NewSession(a)
 	defer s.Close()
@@ -471,10 +537,7 @@ func TestStepAndRStep(t *testing.T) {
 
 // TestEventsBetween: the event timeline is cycle-ordered and sliceable.
 func TestEventsBetween(t *testing.T) {
-	p := loopProgram(t)
-	cfg := pipeline.DefaultConfig()
-	cfg.Chaos = chaos.DefaultConfig(3)
-	a := record(t, cfg, p, Config{})
+	a := record(t, loopManifest(3))
 	if len(a.Events) == 0 {
 		t.Fatal("chaos run recorded no events")
 	}

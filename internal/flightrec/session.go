@@ -10,26 +10,22 @@ import (
 
 // Session is a seekable cursor over an Archive. Seek(n) leaves a live
 // machine positioned exactly at cycle n: forward by stepping the cursor's
-// machine, backward by re-running a fresh machine from cycle 0. Replays run
-// with the lockstep invariant checker attached (Verify, default on), so a
+// machine, backward by re-running a fresh machine from cycle 0. Every
+// replay machine runs with the lockstep invariant checker attached, so a
 // non-deterministic replay fails loudly instead of presenting fabricated
 // state.
 type Session struct {
 	A *Archive
-	// Verify attaches the per-cycle invariant checker to every replay
-	// machine. On by default (NewSession); turn off only for timing
-	// measurements.
-	Verify bool
 
 	m *pipeline.Machine
 	// Replayed counts cycles stepped across all seeks (diagnostics).
 	Replayed uint64
 }
 
-// NewSession opens a verifying session over a. The cursor is unpositioned
-// until the first Seek.
+// NewSession opens a session over a. The cursor is unpositioned until the
+// first Seek.
 func NewSession(a *Archive) *Session {
-	return &Session{A: a, Verify: true}
+	return &Session{A: a}
 }
 
 // Machine returns the live machine at the cursor (nil before the first
@@ -59,9 +55,7 @@ func (s *Session) Seek(n uint64) error {
 	}
 	if s.m == nil || s.m.Cycle() > n {
 		m := pipeline.New(s.A.Cfg, s.A.Prog)
-		if s.Verify {
-			lockstep.AttachChecker(m)
-		}
+		lockstep.AttachChecker(m)
 		if s.m != nil {
 			s.m.Release()
 		}

@@ -8,7 +8,7 @@ import (
 	"reuseiq/internal/telemetry"
 )
 
-// Causal explanation: the why command walks the recorded event timeline
+// Causal explanation: the why command walks the run's event timeline
 // backward from a cycle and reconstructs the chain of events that produced
 // the machine's condition there — why the fetch gate is closed, why a
 // buffering attempt was revoked, why the pipeline squashed. The chain is
@@ -109,7 +109,7 @@ func Explain(a *Archive, cycle uint64) string {
 	}
 
 	if t.incident == nil {
-		b.WriteString("  no recorded events at or before this cycle (ring drop or quiet span)\n")
+		b.WriteString("  no recorded events at or before this cycle (a quiet span)\n")
 		return b.String()
 	}
 	explainEvent(&b, a, t, t.incident, "  ")

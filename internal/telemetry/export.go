@@ -128,6 +128,11 @@ func writeTrace(w io.Writer, events []Event, opts traceOpts) error {
 		if to > from {
 			dur = to - from
 		}
+		if opts.window != nil {
+			// A span opening on the window's last cycle (an instruction
+			// dispatched there) would spill past it.
+			dur = min(dur, opts.window[1]-from)
+		}
 		out = append(out, traceEvent{Name: name, Cat: "riq", Ph: "X",
 			Ts: from, Dur: dur, Pid: 1, Tid: tid, Args: args})
 	}
@@ -270,8 +275,7 @@ type jsonlEvent struct {
 func MarshalEvent(e Event) []byte { return AppendEvent(nil, e) }
 
 // AppendEvent appends MarshalEvent's exact bytes to dst and returns the
-// extended slice — the allocation-free path for high-rate sinks (the flight
-// recorder streams every event through this with a reused scratch buffer).
+// extended slice — the allocation-free path for high-rate sinks.
 // TestAppendEventCanonical pins byte equality with the encoding/json
 // rendering of jsonlEvent.
 //
@@ -309,8 +313,7 @@ func ParseKind(name string) (Kind, bool) {
 }
 
 // UnmarshalEvent parses one canonical JSON event object (the inverse of
-// MarshalEvent). Tools that re-read persisted event streams — the flight
-// recorder's segments, -events dumps — round-trip through this.
+// MarshalEvent), such as a line JSONLSink or WriteJSONL wrote.
 func UnmarshalEvent(data []byte) (Event, error) {
 	var je jsonlEvent
 	if err := json.Unmarshal(data, &je); err != nil {

@@ -329,6 +329,25 @@ func TestWriteTraceJSONAfterRingDrop(t *testing.T) {
 	}
 }
 
+// A window ending on the cycle an instruction dispatches, which is where a
+// budget-aborted run stops, must not give that instruction a span past the
+// window's end.
+func TestWriteTraceWindowEndsOnDispatch(t *testing.T) {
+	events := []Event{
+		{Cycle: 10, Kind: EvDispatch, PC: 0x40, A: 1},
+		{Cycle: 12, Kind: EvIssue, A: 1},
+		{Cycle: 20, Kind: EvDispatch, PC: 0x44, A: 2},
+		{Cycle: 20, Kind: EvIssue, A: 2},
+	}
+	var buf bytes.Buffer
+	if err := WriteTraceWindow(&buf, events, 0, 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateTraceWindow(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("window ending on a dispatch: %v", err)
+	}
+}
+
 func TestValidateTraceRejects(t *testing.T) {
 	cases := []struct {
 		name string

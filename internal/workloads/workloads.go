@@ -65,6 +65,17 @@ func Names() []string {
 	return names
 }
 
+// Source returns the named kernel's provenance per Table 2 without building
+// its IR, or "" when no kernel has that name.
+func Source(name string) string {
+	for _, k := range kernels {
+		if k.name == name {
+			return k.source
+		}
+	}
+	return ""
+}
+
 // ByName builds the named kernel.
 func ByName(name string) (Kernel, bool) {
 	for _, k := range kernels {

@@ -53,12 +53,21 @@ func TestByNameBuildsOneKernel(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { Names() }); n > 1 {
 		t.Errorf("Names costs %.0f allocations, want the one slice", n)
 	}
+	if n := testing.AllocsPerRun(20, func() { Source("wss") }); n != 0 {
+		t.Errorf("Source costs %.0f allocations, want none", n)
+	}
 	var all []string
 	for _, k := range All() {
 		all = append(all, k.Name)
+		if got := Source(k.Name); got != k.Source {
+			t.Errorf("Source(%s) = %q, All() says %q", k.Name, got, k.Source)
+		}
 	}
 	if got := Names(); !slices.Equal(got, all) {
 		t.Errorf("Names() = %v, All() names %v", got, all)
+	}
+	if got := Source("nosuch"); got != "" {
+		t.Errorf("Source(nosuch) = %q, want empty", got)
 	}
 }
 
